@@ -16,6 +16,7 @@ from .bounds import (
     TrailEntry,
     correction_rhs,
     essential_bound,
+    essential_report,
     multi_sphere_bound,
     reproduce_kn,
     reproduce_whitehead,
@@ -28,11 +29,12 @@ from .complexes import (
     TruncatedComplex,
     complex_of,
     dualize,
-    set_v_memo,
     staircase,
     tensor,
     v_at,
     v_invariant,
+    v_memo,
+    v_route,
     v_sequence,
 )
 from .errors import (

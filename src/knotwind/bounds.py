@@ -14,15 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import v_at
+from .complexes import A_SEMIGROUP, A_TOWER, v_at, v_route
 from .errors import InternalCheckError, ValidationError
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import diamond_reduce, v_sequence_torus
-from .surgery import CorrectionTable, d_zero_twisted
+from .surgery import CorrectionTable, dtw_zero
 
 # Trail anchors: the identities the values are read off from.
-A_SEMIGROUP = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
-A_TOWER = "V_s = -(top grading of the U-tower of A_s^-)/2"
 A_DTW_ZERO = "dtw(S^3_0(K)) = -1/2 + 2 V_0(-K)"
 A_WINDING = "ceil(gw/4) >= V_0(J) + V_0(-J)"
 A_RHS_MAX = "(1/2) max_t { dtw(Y,t) + dtw(-Y,t) + 1 }"
@@ -59,18 +57,15 @@ class TrailEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its inputs, provenance trail and optional refinement."""
+    """A value with its inputs, provenance trail and optional refinement; every
+    CLI document is built from one, lists and dicts included."""
 
     bound_kind: str
-    value: Fraction | int
+    value: Fraction | int | list | dict
     induced_minimum: int | None
     inputs: dict[str, object]
     trail: tuple[TrailEntry, ...]
     sharp: bool | None = None
-
-
-def _v0_anchor(expr: KnotExpression) -> str:
-    return A_SEMIGROUP if expr.single_positive_torus_knot() else A_TOWER
 
 
 def _even_minimum(bound: int) -> tuple[int, int]:
@@ -91,8 +86,8 @@ def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundRep
     v0 = v_at(expr, 0)
     v0m = v_at(mirrored, 0)
     bound = v0 + v0m
-    dtw = d_zero_twisted(expr)
-    dtw_neg = d_zero_twisted(mirrored)
+    dtw = dtw_zero(v0m)
+    dtw_neg = dtw_zero(v0)
     if dtw + dtw_neg + 1 != 2 * bound:
         raise InternalCheckError(
             f"winding-bound routes disagree on {expr}: "
@@ -100,8 +95,8 @@ def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundRep
         )
     pre, induced = _even_minimum(bound)
     trail = [
-        TrailEntry("V_0(J)", v0, _v0_anchor(expr)),
-        TrailEntry("V_0(-J)", v0m, _v0_anchor(mirrored)),
+        TrailEntry("V_0(J)", v0, v_route(expr)[1]),
+        TrailEntry("V_0(-J)", v0m, v_route(mirrored)[1]),
         TrailEntry("dtw(S^3_0(J))", dtw, A_DTW_ZERO),
         TrailEntry("dtw(S^3_0(-J))", dtw_neg, A_DTW_ZERO),
         TrailEntry("B = V_0(J) + V_0(-J)", bound, A_WINDING),
@@ -156,6 +151,11 @@ class EssentialInput:
     def __post_init__(self) -> None:
         if not isinstance(self.w, int) or self.w < 2 or self.w % 2 != 0:
             raise ValidationError(f"winding class w must be a positive even integer, got {self.w!r}")
+        for k, v in self.dtable.items():
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+                raise ValidationError(
+                    f"d-table value for residue {k!r} must be an exact rational, got {v!r}"
+                )
         table = {int(k): Fraction(v) for k, v in self.dtable.items()}
         object.__setattr__(self, "dtable", table)
         size = self.w * self.w
@@ -165,16 +165,29 @@ class EssentialInput:
             )
 
 
-def essential_bound(data: EssentialInput) -> Fraction:
+def essential_report(data: EssentialInput) -> BoundReport:
     """gw(K) >= 2 max_k { d[k] - d[k + w^2/2] } for essential even classes.
 
     The opposite spin^c structure shifts the residue by w^2/2; the maximum is
     invariant under adding a constant to the whole table, and no parity
-    refinement applies in the essential case.
+    refinement applies in the essential case.  The trail names the first
+    maximising residue.
     """
     size = data.w * data.w
     half = size // 2
-    return 2 * max(data.dtable[k] - data.dtable[(k + half) % size] for k in range(size))
+    gaps = [data.dtable[k] - data.dtable[(k + half) % size] for k in range(size)]
+    best = gaps.index(max(gaps))
+    trail = (
+        TrailEntry("opposite involution", f"k -> k + {half} (mod {size})", A_OPPOSITE),
+        TrailEntry("maximising residue", best, A_ESSENTIAL),
+        TrailEntry("d[k] - d[k_op]", gaps[best], A_ESSENTIAL),
+    )
+    return BoundReport("essential", 2 * gaps[best], None, {"w": data.w}, trail)
+
+
+def essential_bound(data: EssentialInput) -> Fraction:
+    """The value of `essential_report`."""
+    return essential_report(data).value
 
 
 def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
@@ -184,15 +197,15 @@ def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
     v0 = v_at(expr, 0)
     v0m = v_at(mirrored, 0)
     via_v = 2 * max(v0, v0m) - 1
-    via_dtw = max(d_zero_twisted(expr), d_zero_twisted(mirrored)) - Fraction(1, 2)
+    via_dtw = max(dtw_zero(v0m), dtw_zero(v0)) - Fraction(1, 2)
     if via_dtw != via_v:
         raise InternalCheckError(
             f"shake-bound routes disagree on {expr}: dtw form {via_dtw}, V form {via_v}"
         )
     value = max(0, via_v)
     trail = [
-        TrailEntry("V_0(K)", v0, _v0_anchor(expr)),
-        TrailEntry("V_0(-K)", v0m, _v0_anchor(mirrored)),
+        TrailEntry("V_0(K)", v0, v_route(expr)[1]),
+        TrailEntry("V_0(-K)", v0m, v_route(mirrored)[1]),
         TrailEntry("gsh0 >= (dtw form)", via_dtw, A_SHAKE_DTW),
         TrailEntry("gsh0 >= (V form)", via_v, A_SHAKE_V),
         TrailEntry("gsh0 >= (clamped)", value, A_CLAMP),

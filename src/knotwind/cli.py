@@ -18,35 +18,27 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .bounds import (
-    A_ESSENTIAL,
-    A_OPPOSITE,
-    A_SEMIGROUP,
-    A_TOWER,
     BoundReport,
     EssentialInput,
-    essential_bound,
+    TrailEntry,
+    essential_report,
     reproduce_kn,
     reproduce_whitehead,
     shake_bound,
     winding_bound_via_zero_surgery,
 )
 from .cache import CACHE_ENV, cache_load, cache_store
-from .complexes import set_v_memo, v_sequence
+from .complexes import v_memo, v_route, v_sequence
 from .errors import InternalCheckError, ValidationError
 from .knots import parse_knot_expr
-from .surgery import (
-    correction_table,
-    d_positive_surgery,
-    euler_number,
-    kn_seifert,
-    ncf_eval,
-    ncf_expand,
-)
+from .surgery import correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
 
 A_NIWU = "d(S^3_n(K),t_i) = -2 max{V_i, V_{n-i}} + (n-2i)^2/(4n) - 1/4"
 A_SPINC = "spin^c label i has chern number n - 2i"
@@ -58,10 +50,7 @@ A_PLUMBING = "plumbing"
 
 
 def fraction_str(value: Fraction | int) -> str:
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    return str(Fraction(value))  # "num/den", or plain "num" when the denominator is 1
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -71,19 +60,27 @@ def parse_fraction(text: str) -> Fraction:
         raise ValidationError(f"not a rational number: {text!r} ({exc})") from exc
 
 
+def _plain(value: object) -> object:
+    """JSON form of a value: Fractions as "num/den", containers element-wise."""
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _scalar_str(value: object) -> str:
+    value = _plain(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (Fraction, int)):
-        return fraction_str(value)
     return str(value)
 
 
 def _report_doc(command: str, report: BoundReport) -> dict:
-    doc: dict = {"command": command, "inputs": report.inputs}
-    doc["value"] = (
-        fraction_str(report.value) if isinstance(report.value, Fraction) else report.value
-    )
+    """The one document type every command renders."""
+    doc: dict = {"command": command, "inputs": _plain(report.inputs), "value": _plain(report.value)}
     if report.induced_minimum is not None:
         doc["induced_minimum"] = report.induced_minimum
     if report.sharp is not None:
@@ -100,7 +97,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_leaf(parser: argparse.ArgumentParser, handler, title: str) -> None:
+    """Shared flags of a leaf command, its handler and its document's command name."""
     parser.add_argument(
         "--format",
         choices=("table", "json", "csv"),
@@ -119,6 +117,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=argparse.SUPPRESS,
         help="disable the cache entirely (no file access)",
     )
+    parser.set_defaults(handler=handler, title=title)
 
 
 def build_parser() -> _Parser:
@@ -129,8 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("vseq", help="V-sequence of a knot expression")
     p.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_vseq)
+    _add_leaf(p, _cmd_vseq, "vseq")
 
     p = sub.add_parser("dinv", help="d-invariants of a positive surgery")
     p.add_argument("expr")
@@ -138,111 +136,91 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--i", type=int, default=None, help="single spin^c index")
     group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dinv)
+    _add_leaf(p, _cmd_dinv, "dinv")
 
     bound = sub.add_parser("bound", help="lower-bound combinators")
     bound_sub = bound.add_subparsers(dest="bound_kind", metavar="KIND")
     p = bound_sub.add_parser("winding", help="winding bound via the 0-surgery knot J")
     p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bound_winding)
+    _add_leaf(p, _cmd_bound_winding, "bound winding")
     p = bound_sub.add_parser("shake", help="0-shake genus bound")
     p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bound_shake)
+    _add_leaf(p, _cmd_bound_shake, "bound shake")
     p = bound_sub.add_parser("essential", help="essential-class bound from a d-table file")
     p.add_argument("--w", type=int, required=True, help="even winding class")
     p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bound_essential)
+    _add_leaf(p, _cmd_bound_essential, "bound essential")
 
     examples = sub.add_parser("examples", help="built-in worked bound chains")
     examples_sub = examples.add_subparsers(dest="example", metavar="NAME")
     p = examples_sub.add_parser("kn", help="the sharp family with winding number 4n+2")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_examples_kn)
+    _add_leaf(p, _cmd_examples_kn, "examples kn")
     p = examples_sub.add_parser("whitehead", help="the knotified Hopf link bound")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_examples_whitehead)
+    _add_leaf(p, _cmd_examples_whitehead, "examples whitehead")
 
     seifert = sub.add_parser("seifert", help="Seifert presentations")
     seifert_sub = seifert.add_subparsers(dest="seifert_kind", metavar="NAME")
     p = seifert_sub.add_parser("kn", help="four-fibre presentation of the K_n surgery")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_seifert_kn)
+    _add_leaf(p, _cmd_seifert_kn, "seifert kn")
 
     ncf = sub.add_parser("ncf", help="negative continued fractions")
     ncf_sub = ncf.add_subparsers(dest="ncf_kind", metavar="OP")
     p = ncf_sub.add_parser("eval", help="evaluate a coefficient list, e.g. 4,2")
     p.add_argument("coeffs")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ncf_eval)
+    _add_leaf(p, _cmd_ncf_eval, "ncf eval")
     p = ncf_sub.add_parser("expand", help="expand a rational > 1, e.g. 7/2")
     p.add_argument("value")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ncf_expand)
+    _add_leaf(p, _cmd_ncf_expand, "ncf expand")
 
     return parser
 
 
-def _cmd_vseq(args) -> dict:
+def _cmd_vseq(args) -> BoundReport:
     expr = parse_knot_expr(args.expr)
-    seq = v_sequence(expr)
-    if expr.single_positive_torus_knot():
-        path, anchor = "semigroup count", A_SEMIGROUP
-    elif expr.is_unknot:
-        path, anchor = "unknot", A_TOWER
-    else:
-        path, anchor = "staircase homology", A_TOWER
-    return {
-        "command": "vseq",
-        "inputs": {"expr": str(expr)},
-        "value": list(seq.values),
-        "trail": [
-            {"name": "path", "value": path, "anchor": anchor},
-            {"name": "genus", "value": str(expr.genus), "anchor": A_GENUS},
-        ],
-    }
+    values = list(v_sequence(expr).values)
+    route, anchor = v_route(expr)
+    trail = (TrailEntry("path", route, anchor), TrailEntry("genus", expr.genus, A_GENUS))
+    return BoundReport("vseq", values, None, {"expr": str(expr)}, trail)
 
 
-def _cmd_dinv(args) -> dict:
+def _cmd_dinv(args) -> BoundReport:
     expr = parse_knot_expr(args.expr)
-    if not isinstance(args.n, int) or args.n < 1:
+    if args.n < 1:
         raise ValidationError(f"surgery coefficient must be a positive integer, got {args.n}")
     inputs: dict = {"expr": str(expr), "n": args.n}
-    trail = [
-        {"name": "formula", "value": f"n = {args.n}", "anchor": A_NIWU},
-        {"name": "labels", "value": "i = 0..n-1", "anchor": A_SPINC},
-    ]
     if args.i is not None:
         inputs["i"] = args.i
-        value = fraction_str(d_positive_surgery(expr, args.n, args.i))
+        value = d_positive_surgery(expr, args.n, args.i)
     else:
-        table = correction_table(expr, args.n)
-        value = {str(i): fraction_str(table[i]) for i in range(args.n)}
-    return {"command": "dinv", "inputs": inputs, "value": value, "trail": trail}
+        value = correction_table(expr, args.n).entries
+    trail = (
+        TrailEntry("formula", f"n = {args.n}", A_NIWU),
+        TrailEntry("labels", "i = 0..n-1", A_SPINC),
+    )
+    return BoundReport("dinv", value, None, inputs, trail)
 
 
-def _cmd_bound_winding(args) -> dict:
-    return _report_doc("bound winding", winding_bound_via_zero_surgery(parse_knot_expr(args.expr)))
+def _cmd_bound_winding(args) -> BoundReport:
+    return winding_bound_via_zero_surgery(parse_knot_expr(args.expr))
 
 
-def _cmd_bound_shake(args) -> dict:
-    return _report_doc("bound shake", shake_bound(parse_knot_expr(args.expr)))
+def _cmd_bound_shake(args) -> BoundReport:
+    return shake_bound(parse_knot_expr(args.expr))
 
 
 def _load_dtable(path: str, w: int) -> EssentialInput:
     try:
-        raw = json.loads(open(path, encoding="utf-8").read())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read d-table file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"d-table file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "w" not in raw or "d" not in raw:
         raise ValidationError(f'd-table file {path} must be {{"w": int, "d": {{...}}}}')
+    if type(raw["w"]) is not int:
+        raise ValidationError(f"d-table 'w' must be a JSON integer, got {raw['w']!r}")
     if raw["w"] != w:
         raise ValidationError(f"--w {w} does not match the file's w = {raw['w']}")
     if not isinstance(raw["d"], dict):
@@ -253,83 +231,50 @@ def _load_dtable(path: str, w: int) -> EssentialInput:
             residue = int(key)
         except ValueError:
             raise ValidationError(f"d-table key {key!r} is not an integer residue") from None
-        table[residue] = parse_fraction(val) if isinstance(val, str) else Fraction(val)
+        table[residue] = parse_fraction(val) if isinstance(val, str) else val
     return EssentialInput(w, table)
 
 
-def _cmd_bound_essential(args) -> dict:
-    data = _load_dtable(args.dtable, args.w)
-    value = essential_bound(data)
-    size = data.w * data.w
-    half = size // 2
-    best_k = max(
-        range(size), key=lambda k: data.dtable[k] - data.dtable[(k + half) % size]
-    )
-    return {
-        "command": "bound essential",
-        "inputs": {"w": data.w, "dtable": args.dtable},
-        "value": fraction_str(value),
-        "trail": [
-            {"name": "opposite involution", "value": f"k -> k + {half} (mod {size})", "anchor": A_OPPOSITE},
-            {"name": "maximising residue", "value": str(best_k), "anchor": A_ESSENTIAL},
-            {
-                "name": "d[k] - d[k_op]",
-                "value": fraction_str(data.dtable[best_k] - data.dtable[(best_k + half) % size]),
-                "anchor": A_ESSENTIAL,
-            },
-        ],
-    }
+def _cmd_bound_essential(args) -> BoundReport:
+    report = essential_report(_load_dtable(args.dtable, args.w))
+    return replace(report, inputs={**report.inputs, "dtable": args.dtable})
 
 
-def _cmd_examples_kn(args) -> dict:
-    return _report_doc("examples kn", reproduce_kn(args.n))
+def _cmd_examples_kn(args) -> BoundReport:
+    return reproduce_kn(args.n)
 
 
-def _cmd_examples_whitehead(args) -> dict:
-    return _report_doc("examples whitehead", reproduce_whitehead())
+def _cmd_examples_whitehead(args) -> BoundReport:
+    return reproduce_whitehead()
 
 
-def _cmd_seifert_kn(args) -> dict:
+def _cmd_seifert_kn(args) -> BoundReport:
     presentation = kn_seifert(args.n)
-    euler = euler_number(presentation)
-    trail = [{"name": "e0", "value": str(presentation.e0), "anchor": A_PLUMBING}]
+    euler = presentation.euler_number
+    trail = [TrailEntry("e0", presentation.e0, A_PLUMBING)]
     trail += [
-        {"name": f"fibre r_{j + 1}", "value": fraction_str(r), "anchor": A_PLUMBING}
-        for j, r in enumerate(presentation.fibers)
+        TrailEntry(f"fibre r_{j}", r, A_PLUMBING) for j, r in enumerate(presentation.fibers, 1)
     ]
-    trail.append({"name": "euler number", "value": fraction_str(euler), "anchor": A_EULER})
-    trail.append({"name": "euler < 0", "value": "true" if euler < 0 else "false", "anchor": A_EULER_NEG})
-    return {
-        "command": "seifert kn",
-        "inputs": {"n": args.n},
-        "value": fraction_str(euler),
-        "trail": trail,
-    }
+    trail.append(TrailEntry("euler number", euler, A_EULER))
+    trail.append(TrailEntry("euler < 0", euler < 0, A_EULER_NEG))
+    return BoundReport("seifert", euler, None, {"n": args.n}, tuple(trail))
 
 
-def _cmd_ncf_eval(args) -> dict:
+def _cmd_ncf_eval(args) -> BoundReport:
     try:
         coeffs = [int(part) for part in args.coeffs.split(",") if part.strip() != ""]
     except ValueError:
         raise ValidationError(f"coefficient list must be comma-separated integers, got {args.coeffs!r}") from None
     value = ncf_eval(coeffs)
-    return {
-        "command": "ncf eval",
-        "inputs": {"coeffs": coeffs},
-        "value": fraction_str(value),
-        "trail": [{"name": "definition", "value": fraction_str(value), "anchor": A_NCF}],
-    }
+    trail = (TrailEntry("definition", value, A_NCF),)
+    return BoundReport("ncf", value, None, {"coeffs": coeffs}, trail)
 
 
-def _cmd_ncf_expand(args) -> dict:
+def _cmd_ncf_expand(args) -> BoundReport:
     value = parse_fraction(args.value)
     coeffs = ncf_expand(value)
-    return {
-        "command": "ncf expand",
-        "inputs": {"value": fraction_str(value)},
-        "value": coeffs,
-        "trail": [{"name": "definition", "value": ",".join(map(str, coeffs)), "anchor": A_NCF}],
-    }
+    trail = (TrailEntry("definition", ",".join(map(str, coeffs)), A_NCF),)
+    return BoundReport("ncf", coeffs, None, {"value": value}, trail)
 
 
 def _flatten_value(value) -> list[tuple[str, str]]:
@@ -379,11 +324,13 @@ def render_document(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _error_output(kind: str, exc: Exception, fmt: str) -> tuple[str, str]:
+def _error_output(exc: ValidationError | InternalCheckError, fmt: str) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of a failed command."""
+    kind, status = ("validation", 2) if isinstance(exc, ValidationError) else ("internal", 1)
     if fmt == "json":
         doc = {"error": {"kind": kind, "message": str(exc)}}
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n", ""
-    return "", f"error ({kind}): {exc}\n"
+        return status, json.dumps(doc, indent=2, ensure_ascii=False) + "\n", ""
+    return status, "", f"error ({kind}): {exc}\n"
 
 
 def _sniff_format(argv: Sequence[str]) -> str:
@@ -400,37 +347,23 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.handler is None:
+            raise ValidationError("no command given; see --help")
     except ValidationError as exc:
-        out, err = _error_output("validation", exc, _sniff_format(argv))
-        return 2, out, err
-    if getattr(args, "handler", None) is None:
-        out, err = _error_output(
-            "validation", ValidationError("no command given; see --help"), _sniff_format(argv)
-        )
-        return 2, out, err
+        return _error_output(exc, _sniff_format(argv))
     fmt = args.format
     cache_path = None
     if not args.no_cache:
         cache_path = args.cache or os.environ.get(CACHE_ENV) or None
-    loaded: dict[str, list[int]] = {}
-    if cache_path:
-        loaded = cache_load(cache_path)
-    memo = dict(loaded)
-    previous = set_v_memo(memo)
-    try:
-        doc = args.handler(args)
-        output = render_document(doc, fmt)
-        if cache_path and memo != loaded:
-            cache_store(cache_path, memo)
-        return 0, output, ""
-    except ValidationError as exc:
-        out, err = _error_output("validation", exc, fmt)
-        return 2, out, err
-    except InternalCheckError as exc:
-        out, err = _error_output("internal", exc, fmt)
-        return 1, out, err
-    finally:
-        set_v_memo(previous)
+    loaded = cache_load(cache_path) if cache_path else {}
+    with v_memo(loaded) as memo:
+        try:
+            output = render_document(_report_doc(args.title, args.handler(args)), fmt)
+            if cache_path and memo != loaded:
+                cache_store(cache_path, memo)
+            return 0, output, ""
+        except (ValidationError, InternalCheckError) as exc:
+            return _error_output(exc, fmt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

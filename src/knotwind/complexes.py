@@ -25,14 +25,20 @@ is recomputed at truncation N+1; disagreement raises, never returns.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import MutableMapping
+from typing import Iterator, Mapping
 
 from .errors import InternalCheckError, TruncationInstabilityError, ValidationError
 from .gf2 import BitSpace, kernel_basis
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import VSequence, semigroup_from_pair, v_sequence_torus
+
+# Trail anchors of the two V routes: the identities the values are read off from.
+A_SEMIGROUP = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
+A_TOWER = "V_s = -(top grading of the U-tower of A_s^-)/2"
 
 
 @dataclass(frozen=True)
@@ -315,17 +321,44 @@ def v_invariant(complex_: BifilteredComplex, s: int) -> int:
     return -top // 2
 
 
-# Optional memo used by the CLI cache; maps canonical expression strings to
-# V-sequence value lists.  None disables memoisation (the library default).
-_v_memo: MutableMapping[str, list[int]] | None = None
+# V-sequence memo of the current context (canonical expression string ->
+# values), installed by `v_memo`; None, the default, disables memoisation.
+_memo: ContextVar[dict[str, list[int]] | None] = ContextVar("v_memo", default=None)
 
 
-def set_v_memo(memo: MutableMapping[str, list[int]] | None):
-    """Install a V-sequence memo (or None to disable); returns the previous one."""
-    global _v_memo
-    previous = _v_memo
-    _v_memo = memo
-    return previous
+@contextmanager
+def v_memo(entries: Mapping[str, list[int]]) -> Iterator[dict[str, list[int]]]:
+    """Memoise V-sequences within this block of the current context only.
+
+    Yields the memo, a copy of `entries` that `v_sequence` fills; other
+    threads and contexts never see it.
+    """
+    memo = dict(entries)
+    token = _memo.set(memo)
+    try:
+        yield memo
+    finally:
+        _memo.reset(token)
+
+
+def _recall(key: str) -> VSequence | None:
+    memo = _memo.get()
+    if memo is None or key not in memo:
+        return None
+    try:
+        return VSequence(tuple(memo[key]))
+    except (ValidationError, TypeError, ValueError):
+        return None  # stale or corrupt memo entry: recompute and overwrite
+
+
+def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
+    """Route `v_sequence` and `v_at` take for an expression, and its trail anchor."""
+    expr = as_expression(expr)
+    if expr.single_positive_torus_knot():
+        return "semigroup count", A_SEMIGROUP
+    if expr.is_unknot:
+        return "unknot", A_TOWER
+    return "staircase homology", A_TOWER
 
 
 def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
@@ -337,11 +370,9 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     """
     expr = as_expression(expr)
     key = str(expr)
-    if _v_memo is not None and key in _v_memo:
-        try:
-            return VSequence(tuple(int(x) for x in _v_memo[key]))
-        except (ValidationError, TypeError, ValueError):
-            pass  # stale or corrupt memo entry: recompute and overwrite
+    seq = _recall(key)
+    if seq is not None:
+        return seq
     knot = expr.single_positive_torus_knot()
     if knot is not None:
         seq = v_sequence_torus(knot)
@@ -363,8 +394,9 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
             seq = VSequence(values)
         except ValidationError as exc:
             raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
-    if _v_memo is not None:
-        _v_memo[key] = list(seq.values)
+    memo = _memo.get()
+    if memo is not None:
+        memo[key] = list(seq.values)
     return seq
 
 
@@ -375,12 +407,9 @@ def v_at(expr: KnotExpression | TorusKnot, s: int) -> int:
         raise ValidationError(f"V-sequence index must be a non-negative integer, got {s!r}")
     if expr.is_unknot:
         return 0
-    key = str(expr)
-    if _v_memo is not None and key in _v_memo:
-        try:
-            return VSequence(tuple(int(x) for x in _v_memo[key])).at(s)
-        except (ValidationError, TypeError, ValueError):
-            pass
+    seq = _recall(str(expr))
+    if seq is not None:
+        return seq.at(s)
     knot = expr.single_positive_torus_knot()
     if knot is not None:
         return v_sequence_torus(knot).at(s)

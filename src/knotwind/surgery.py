@@ -99,10 +99,14 @@ def correction_table(knot: KnotExpression | TorusKnot, n: int) -> CorrectionTabl
     return CorrectionTable(n, {i: d_positive_surgery(expr, n, i, vseq=seq) for i in range(n)})
 
 
+def dtw_zero(v0_mirror: int) -> Fraction:
+    """Twisted correction term of the 0-surgery on K from V_0(-K): -1/2 + 2 V_0(-K)."""
+    return Fraction(-1, 2) + 2 * v0_mirror
+
+
 def d_zero_twisted(knot: KnotExpression | TorusKnot) -> Fraction:
     """Twisted correction term of the 0-surgery: -1/2 + 2 V_0(-K)."""
-    expr = as_expression(knot)
-    return Fraction(-1, 2) + 2 * v_at(expr.mirror(), 0)
+    return dtw_zero(v_at(as_expression(knot).mirror(), 0))
 
 
 def d_circle_bundle_twisted(g: int) -> Fraction:

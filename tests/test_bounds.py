@@ -124,6 +124,27 @@ def test_essential_input_validation():
         EssentialInput(3, {k: Fraction(0) for k in range(9)})
     with pytest.raises(ValidationError, match="cover"):
         EssentialInput(2, {0: Fraction(0)})
+    for inexact in (0.5, True):
+        with pytest.raises(ValidationError, match="exact"):
+            EssentialInput(2, {0: inexact, 1: 0, 2: 0, 3: 0})
+
+
+def test_each_v0_is_computed_once(monkeypatch):
+    from knotwind import complexes
+
+    built = []
+    real = complexes.complex_of
+
+    def counting(expr):
+        built.append(str(expr))
+        return real(expr)
+
+    monkeypatch.setattr(complexes, "complex_of", counting)
+    expr = parse_knot_expr("T(2,3) # -T(2,5)")
+    for bound in (shake_bound, winding_bound_via_zero_surgery):
+        built.clear()
+        bound(expr)
+        assert sorted(built) == ["-T(2,3) # T(2,5)", "T(2,3) # -T(2,5)"], bound.__name__
 
 
 def test_shake_bound_examples():

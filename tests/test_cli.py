@@ -1,6 +1,7 @@
 """Parser round-trips, CLI output formats, exit codes and the cache."""
 
 import json
+import threading
 
 import pytest
 
@@ -10,9 +11,13 @@ from knotwind import (
     cache_load,
     cache_store,
     parse_knot_expr,
+    v_sequence,
 )
 from knotwind import __version__
+from knotwind import cli
 from knotwind.cli import fraction_str, run
+
+README_KEYS = {"command", "inputs", "value", "induced_minimum", "sharp", "trail"}
 
 
 def run_ok(argv):
@@ -85,6 +90,36 @@ def test_cli_bound_winding_json():
     assert all(entry["anchor"] for entry in doc["trail"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vseq", "T(2,3) # -T(2,5)"],
+        ["dinv", "T(2,3)", "--n", "3", "--all"],
+        ["dinv", "T(2,3)", "--n", "3", "--i", "1"],
+        ["bound", "winding", "T(2,5)"],
+        ["bound", "shake", "T(2,9)"],
+        ["bound", "essential", "--w", "2", "--dtable", "DTABLE"],
+        ["examples", "kn", "--n", "1"],
+        ["examples", "whitehead"],
+        ["seifert", "kn", "--n", "2"],
+        ["ncf", "eval", "4,2"],
+        ["ncf", "expand", "7/2"],
+    ],
+    ids=" ".join,
+)
+def test_cli_json_document_shape(argv, tmp_path):
+    dtable = tmp_path / "d.json"
+    dtable.write_text(json.dumps({"w": 2, "d": {"0": "1/2", "1": "0", "2": "-1/2", "3": "0"}}))
+    argv = [str(dtable) if word == "DTABLE" else word for word in argv]
+    doc = json.loads(run_ok(argv + ["--format", "json", "--no-cache"]))
+    assert {"command", "inputs", "value", "trail"} <= set(doc) <= README_KEYS
+    assert argv[: len(doc["command"].split())] == doc["command"].split()
+    assert doc["trail"]
+    for entry in doc["trail"]:
+        assert set(entry) == {"name", "value", "anchor"}
+        assert isinstance(entry["value"], str) and entry["anchor"]
+
+
 def test_cli_vseq_and_dinv_json():
     doc = json.loads(run_ok(["vseq", "T(4,5)", "--format", "json"]))
     assert doc["value"] == [3, 2, 1, 1, 1, 1, 0]
@@ -128,11 +163,20 @@ def test_cli_bound_essential(tmp_path):
     status, out, _ = run(["bound", "essential", "--w", "4", "--dtable", str(path), "--format", "json"])
     assert status == 2
     assert "does not match" in json.loads(out)["error"]["message"]
+    path.write_text(json.dumps({"w": 2, "d": {"0": 1, "1": 0, "2": 0, "3": "0"}}))
+    doc = json.loads(run_ok(["bound", "essential", "--w", "2", "--dtable", str(path), "--format", "json"]))
+    assert doc["value"] == "2"
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    status, out, _ = run(["bound", "essential", "--w", "2", "--dtable", str(broken), "--format", "json"])
-    assert status == 2
-    assert json.loads(out)["error"]["kind"] == "validation"
+    inexact = [
+        {"w": 2, "d": {"0": 0.1, "1": True, "2": 0, "3": "0"}},
+        {"w": 2, "d": {"0": "1", "1": True, "2": 0, "3": "0"}},
+        {"w": 2.0, "d": {"0": "1", "1": "0", "2": "0", "3": "0"}},
+    ]
+    for text in ["{not json"] + [json.dumps(table) for table in inexact]:
+        broken.write_text(text)
+        status, out, _ = run(["bound", "essential", "--w", "2", "--dtable", str(broken), "--format", "json"])
+        assert status == 2, text
+        assert json.loads(out)["error"]["kind"] == "validation"
 
 
 def test_cli_csv_has_fixed_header():
@@ -199,6 +243,33 @@ def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     assert stored["entries"]["T(3,4)"] == [1, 1, 1, 0]
     second = run_ok(["vseq", "T(3,4)", "--format", "json", "--cache", str(path)])
     assert plain == first == second
+
+
+def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    waiting, release = threading.Event(), threading.Event()
+    compute = cli.v_sequence
+
+    def paused(expr):
+        waiting.set()
+        release.wait(timeout=60)
+        return compute(expr)
+
+    monkeypatch.setattr(cli, "v_sequence", paused)
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.append(run(["vseq", "T(2,3)", "--cache", str(path)]))
+    )
+    worker.start()
+    try:
+        assert waiting.wait(timeout=60)
+        v_sequence(parse_knot_expr("-T(2,3) # T(2,5)"))
+    finally:
+        release.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results[0][0] == 0
+    assert list(json.loads(path.read_text())["entries"]) == ["T(2,3)"]
 
 
 def test_cli_no_cache_never_touches_file(tmp_path, monkeypatch):

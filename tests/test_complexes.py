@@ -17,6 +17,7 @@ from knotwind import (
     staircase,
     tensor,
     v_invariant,
+    v_route,
     v_sequence,
     v_sequence_torus,
 )
@@ -173,6 +174,9 @@ def test_v_sequence_dispatch_and_examples():
     assert v_sequence(parse_knot_expr("T(3,7) # T(3,7)")).at(0) == 4
     assert list(v_sequence(parse_knot_expr("-T(6,7)"))) == [0] * 16
     assert list(v_sequence(parse_knot_expr("U"))) == []
+    assert v_route(parse_knot_expr("T(6,7)"))[0] == "semigroup count"
+    assert v_route(parse_knot_expr("-T(6,7)"))[0] == "staircase homology"
+    assert v_route(parse_knot_expr("U"))[0] == "unknot"
 
 
 def test_diamond_consistency_grid():
