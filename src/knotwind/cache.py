@@ -29,7 +29,11 @@ def _warn(message: str) -> None:
 
 
 def _spot_check(entries: dict[str, list[int]]) -> bool:
-    """Recompute the cheapest entry; False means the cache cannot be trusted."""
+    """Recompute the cheapest entry; False means the cache cannot be trusted.
+
+    Genus-0 entries (the unknot) cannot disagree, so one is picked only
+    when nothing else is cached.
+    """
     from .complexes import v_sequence  # deferred: cache must import before complexes
 
     cheapest = None
@@ -39,10 +43,10 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
             expr = parse_knot_expr(key)
         except ValidationError:
             return False
-        cost = (len(expr.summands), expr.genus)
+        cost = (expr.genus == 0, len(expr.summands), expr.genus)
         if cheapest_cost is None or cost < cheapest_cost:
             cheapest, cheapest_cost = (key, expr), cost
-    if cheapest is None or cheapest_cost[1] > _SPOT_CHECK_GENUS_LIMIT:
+    if cheapest is None or cheapest_cost[2] > _SPOT_CHECK_GENUS_LIMIT:
         return True
     key, expr = cheapest
     return list(v_sequence(expr).values) == entries[key]

@@ -16,11 +16,18 @@ construction in `staircase` and `dualize`.
 
 V-invariants are read off sublevel subcomplexes: for s >= 0, A_s^- is
 spanned by U^a * g with a >= max(0, A(g) - s).  After truncating U-powers
-at an order N, homology splits by Maslov grading into small F_2 systems
+at an order N, the model splits by Maslov grading into small F_2 pieces
 (each generator contributes at most one basis element per grading), and the
-tower top is the maximal grading carrying a class that survives a fixed
-number of U-multiplications.  V_s is minus half that grading.  Every value
-is recomputed at truncation N+1; disagreement raises, never returns.
+tower top is the maximal grading m carrying a cycle whose image under
+U^w (w a fixed window) is not a boundary.  The search walks the gradings
+from the top down and stops at the first hit, building boundary rows only
+at the gradings it tests.  At each m it takes D, the boundaries of the
+basis of m, B, the boundaries landing in m - 2w, and V, the span of the
+pairs (de, U^w e) over the basis of m together with (0, B).  Projecting V
+onto its first part has image D and kernel 0 x (U^w(cycles) + B), so a
+surviving cycle exists iff rank V - rank D > rank B.  V_s is minus half
+the top grading.  Every value is recomputed at truncation N+1;
+disagreement raises, never returns.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from functools import reduce
 from typing import Iterator, Mapping
 
 from .errors import InternalCheckError, TruncationInstabilityError, ValidationError
-from .gf2 import BitSpace, kernel_basis
+from .gf2 import BitSpace
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import VSequence, semigroup_from_pair, v_sequence_torus
 
@@ -47,6 +54,10 @@ class BifilteredComplex:
 
     generators: tuple[tuple[int, int], ...]
     differential: dict[tuple[int, int], int] = field(default_factory=dict)
+    # Adjacency view of the differential, built once: arrows_out[k] = ((l, n), ...).
+    arrows_out: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         gens = tuple((int(m), int(a)) for m, a in self.generators)
@@ -63,6 +74,10 @@ class BifilteredComplex:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
             diff[(k, l)] = n
         object.__setattr__(self, "differential", diff)
+        out: list[list[tuple[int, int]]] = [[] for _ in gens]
+        for (k, l), n in diff.items():
+            out[k].append((l, n))
+        object.__setattr__(self, "arrows_out", tuple(map(tuple, out)))
         for (k, l), n in diff.items():
             mk, ak = gens[k]
             ml, al = gens[l]
@@ -77,7 +92,7 @@ class BifilteredComplex:
         self._check_square_zero()
 
     def _check_square_zero(self) -> None:
-        out = self.arrows_out()
+        out = self.arrows_out
         acc: dict[tuple[int, int, int], int] = {}
         for k, arrows in enumerate(out):
             for l, n1 in arrows:
@@ -86,13 +101,6 @@ class BifilteredComplex:
                     acc[key] = acc.get(key, 0) ^ 1
         if any(acc.values()):
             raise ValidationError("differential does not square to zero over F_2[U]")
-
-    def arrows_out(self) -> list[list[tuple[int, int]]]:
-        """Adjacency view of the differential: arrows_out()[k] = [(l, n), ...]."""
-        out: list[list[tuple[int, int]]] = [[] for _ in self.generators]
-        for (k, l), n in self.differential.items():
-            out[k].append((l, n))
-        return out
 
     @property
     def n_generators(self) -> int:
@@ -148,55 +156,39 @@ class TruncatedComplex:
 
     def boundary_of(self, g: int, a: int) -> list[tuple[int, int]]:
         """Image of U^a * g under the induced differential, as basis elements."""
-        image = []
-        for (k, l), n in self.base.differential.items():
-            if k == g and a + n < self.order:
-                image.append((l, a + n))
-        return image
+        order = self.order
+        return [(l, a + n) for l, n in self.base.arrows_out[g] if a + n < order]
 
 
 def _truncated_tower_top(trunc: TruncatedComplex, window: int) -> int | None:
-    """Maximal grading with a class surviving U^window, or None if none found."""
-    base = trunc.base
+    """Maximal grading with a cycle surviving U^window, or None if none found."""
     order = trunc.order
-    out = base.arrows_out()
     buckets = trunc.graded_basis()
     index = {m: {e: i for i, e in enumerate(lst)} for m, lst in buckets.items()}
-    kernels: dict[int, list[int]] = {}
-    images: dict[int, BitSpace] = {}
-    for m, lst in buckets.items():
-        target = index.get(m - 1, {})
-        rows = []
-        for g, a in lst:
-            v = 0
-            for l, n in out[g]:
-                aa = a + n
-                if aa < order:
-                    v |= 1 << target[(l, aa)]
-            rows.append(v)
-        kernels[m] = kernel_basis(rows)
-        if any(rows):
-            space = images.setdefault(m - 1, BitSpace())
-            for r in rows:
-                space.add(r)
+
+    def row(e: tuple[int, int], target: dict[tuple[int, int], int]) -> int:
+        v = 0
+        for t in trunc.boundary_of(*e):
+            v |= 1 << target[t]
+        return v
+
     for m in sorted(buckets, reverse=True):
-        ker = kernels.get(m)
-        if not ker:
-            continue
-        source = buckets[m]
-        shifted = index.get(m - 2 * window, {})
-        boundaries = images.get(m - 2 * window)
-        for combo in ker:
-            v = 0
-            c = combo
-            while c:
-                i = (c & -c).bit_length() - 1
-                c &= c - 1
-                g, a = source[i]
-                if a + window < order:
-                    v |= 1 << shifted[(g, a + window)]
-            if v and (boundaries is None or not boundaries.contains(v)):
-                return m
+        below = m - 2 * window
+        shifted = index.get(below, {})
+        width = len(shifted)
+        # V with (0, B) added first: rows (de << width | U^window e) whose
+        # echelon pivot falls below `width` span U^window(cycles) + B, so
+        # their count is rank V - rank D.
+        space = BitSpace()
+        for e in buckets.get(below + 1, ()):
+            space.add(row(e, shifted))
+        rank_b = space.rank
+        target = index.get(m - 1, {})
+        for g, a in buckets[m]:
+            u = 1 << shifted[(g, a + window)] if a + window < order else 0
+            space.add(row((g, a), target) << width | u)
+        if sum(pivot < width for pivot in space.rows) > rank_b:
+            return m
     return None
 
 

@@ -1,4 +1,9 @@
-"""Dense GF(2) linear algebra on Python-int bit rows."""
+"""Dense GF(2) linear algebra on Python-int bit rows.
+
+One primitive: `BitSpace`, a row-echelon span.  Ranks are all the tower
+search needs; a row's pivot (its highest set bit) also tells which part of
+a concatenated row it was left with after reduction.
+"""
 
 from __future__ import annotations
 
@@ -36,21 +41,3 @@ class BitSpace:
     def rank(self) -> int:
         return len(self.rows)
 
-
-def kernel_basis(rows: list[int]) -> list[int]:
-    """Basis of the left kernel: bitmasks c with XOR of rows[i] over i in c zero."""
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-    for idx, row in enumerate(rows):
-        tag = 1 << idx
-        while row:
-            hit = pivots.get(row.bit_length() - 1)
-            if hit is None:
-                break
-            row ^= hit[0]
-            tag ^= hit[1]
-        if row:
-            pivots[row.bit_length() - 1] = (row, tag)
-        else:
-            kernel.append(tag)
-    return kernel

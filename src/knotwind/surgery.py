@@ -78,16 +78,14 @@ def d_positive_surgery(
     i: int,
     vseq: VSequence | None = None,
 ) -> Fraction:
-    """d(S^3_n(K), t_i) for positive n via the surgery formula above."""
+    """d(S^3_n(K), t_i) for positive n via the surgery formula above.
+
+    V is non-increasing, so max{V_i, V_{n-i}} is V at min(i, n - i).
+    """
     label = SpincLabel(n, i)  # validates n >= 1 and 0 <= i < n
-    if vseq is None:
-        expr = as_expression(knot)
-        vi = v_at(expr, label.i)
-        vni = v_at(expr, n - label.i)
-    else:
-        vi = vseq.at(label.i)
-        vni = vseq.at(n - label.i)
-    return -2 * max(vi, vni) + Fraction(label.chern * label.chern, 4 * n) - Fraction(1, 4)
+    j = min(label.i, n - label.i)
+    v = v_at(as_expression(knot), j) if vseq is None else vseq.at(j)
+    return -2 * v + Fraction(label.chern * label.chern, 4 * n) - Fraction(1, 4)
 
 
 def correction_table(knot: KnotExpression | TorusKnot, n: int) -> CorrectionTable:

@@ -233,6 +233,18 @@ def test_cache_spot_check_catches_stale_values(tmp_path):
         assert cache_load(path) == {}
 
 
+def test_cache_spot_check_skips_the_unknot(tmp_path):
+    path = tmp_path / "cache.json"
+    stale = {"U": [], "T(2,5)": [2, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    with pytest.warns(RuntimeWarning, match="stale"):
+        out = run_ok(["vseq", "T(2,5)", "--format", "json", "--cache", str(path)])
+    assert json.loads(out)["value"] == [1, 1, 0]
+    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": {"U": []}}))
+    assert cache_load(path) == {"U": []}
+
+
 def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     path = tmp_path / "cache.json"
     plain = run_ok(["vseq", "T(3,4)", "--format", "json", "--no-cache"])

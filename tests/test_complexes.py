@@ -270,3 +270,62 @@ def test_validate_runs_tower_normalisation():
     shifted = BifilteredComplex(((2, 0),), {})
     with pytest.raises(ValidationError, match="normalisation"):
         shifted.validate()
+
+
+def brute_tower_top(chain, floors, order, window):
+    """Tower top by enumeration: every cycle of each grading is tested against
+    every boundary at m - 2*window, with the matrix built from `differential`."""
+    basis = [(g, a) for g in range(chain.n_generators) for a in range(floors[g], order)]
+    bit = {e: 1 << i for i, e in enumerate(basis)}
+    boundary = dict.fromkeys(basis, 0)
+    for (k, l), n in chain.differential.items():
+        for a in range(floors[k], order - n):
+            boundary[(k, a)] ^= bit[(l, a + n)]
+    buckets = {}
+    for g, a in basis:
+        buckets.setdefault(chain.generators[g][0] - 2 * a, []).append((g, a))
+
+    def span(pairs):
+        combos = [(0, 0)]
+        for d, u in pairs:
+            combos += [(cd ^ d, cu ^ u) for cd, cu in combos]
+        return combos
+
+    for m in sorted(buckets, reverse=True):
+        hit = m - 2 * window + 1
+        boundaries = {d for d, _ in span((boundary[e], 0) for e in buckets.get(hit, ()))}
+        pairs = [
+            (boundary[(g, a)], bit[(g, a + window)] if a + window < order else 0)
+            for g, a in buckets[m]
+        ]
+        if any(d == 0 and u not in boundaries for d, u in span(pairs)):
+            return m
+    return None
+
+
+ORACLE_TORUS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]
+ORACLE_COMPLEXES = {
+    e: complex_of(parse_knot_expr(e))
+    for e in [
+        *(f"{sign}T({p},{q})" for sign in ("", "-") for p, q in ORACLE_TORUS),
+        "T(2,3) # T(2,3)",
+        "T(2,3) # -T(2,3)",
+        "-T(2,3) # -T(2,3)",
+    ]
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+def test_tower_top_matches_brute_force(name):
+    from knotwind.complexes import _truncated_tower_top, _truncation_order
+
+    chain = ORACLE_COMPLEXES[name]
+    assert chain.n_generators <= 9
+    window = chain.alexander_radius + 1
+    order = _truncation_order(chain)
+    for s in range(chain.alexander_radius + 1):
+        floors = tuple(max(0, a - s) for _, a in chain.generators)
+        for n in (order, order + 1):
+            got = _truncated_tower_top(TruncatedComplex(chain, n, floors), window)
+            assert got == brute_tower_top(chain, floors, n, window), (s, n)
+            assert got is not None

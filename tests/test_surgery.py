@@ -54,6 +54,24 @@ def test_d_positive_surgery_index_validation():
         d_positive_surgery(TREFOIL, 3, -1)
 
 
+def test_d_positive_surgery_builds_one_complex(monkeypatch):
+    from knotwind import complexes
+
+    built = []
+    real = complexes.complex_of
+
+    def counting(expr):
+        built.append(str(expr))
+        return real(expr)
+
+    monkeypatch.setattr(complexes, "complex_of", counting)
+    expr = parse_knot_expr("T(3,4) # -T(2,5)")
+    assert d_positive_surgery(expr, 5, 1) == d_positive_surgery(expr, 5, 1, vseq=v_sequence(expr))
+    built.clear()
+    d_positive_surgery(expr, 5, 1)
+    assert built == [str(expr)]
+
+
 def test_lens_space_reduction_for_unknot():
     for n in range(1, 31):
         for i in range(n):
