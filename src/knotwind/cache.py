@@ -78,7 +78,7 @@ def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
             _warn(f"ignoring cache file {path}: malformed entry {key!r}")
             return {}
         out[key] = list(values)
-    if __debug__ and out and not _spot_check(out):
+    if out and not _spot_check(out):
         _warn(f"ignoring cache file {path}: spot check found a stale V-sequence")
         return {}
     return out

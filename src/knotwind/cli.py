@@ -187,8 +187,6 @@ def _cmd_vseq(args) -> BoundReport:
 
 def _cmd_dinv(args) -> BoundReport:
     expr = parse_knot_expr(args.expr)
-    if args.n < 1:
-        raise ValidationError(f"surgery coefficient must be a positive integer, got {args.n}")
     inputs: dict = {"expr": str(expr), "n": args.n}
     if args.i is not None:
         inputs["i"] = args.i

@@ -15,19 +15,19 @@ tops out at Maslov grading 0) is available as `tower_top` and is arranged by
 construction in `staircase` and `dualize`.
 
 V-invariants are read off sublevel subcomplexes: for s >= 0, A_s^- is
-spanned by U^a * g with a >= max(0, A(g) - s).  After truncating U-powers
-at an order N, the model splits by Maslov grading into small F_2 pieces
-(each generator contributes at most one basis element per grading), and the
-tower top is the maximal grading m carrying a cycle whose image under
-U^w (w a fixed window) is not a boundary.  The search walks the gradings
-from the top down and stops at the first hit, building boundary rows only
-at the gradings it tests.  At each m it takes D, the boundaries of the
-basis of m, B, the boundaries landing in m - 2w, and V, the span of the
-pairs (de, U^w e) over the basis of m together with (0, B).  Projecting V
-onto its first part has image D and kernel 0 x (U^w(cycles) + B), so a
-surviving cycle exists iff rank V - rank D > rank B.  V_s is minus half
-the top grading.  Every value is recomputed at truncation N+1;
-disagreement raises, never returns.
+spanned by U^a * g with a >= max(0, A(g) - s).  A truncated model keeps
+U^a * g for floors[g] <= a < N; the floors must span a subcomplex.  A
+generator has at most one basis element per Maslov grading, so rows are
+generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
+The tower top is the maximal grading m with a cycle whose U^w-image (w a
+fixed window) is not a boundary.  The search walks the gradings from the
+top down, reading each from the complex, and stops at the first hit.  At
+each m it takes D, the boundaries of the basis of m, B, the boundaries
+landing in m - 2w, and V, the span of the pairs (de, U^w e) over the basis
+of m together with (0, B).  Projecting V onto its first part has image D
+and kernel 0 x (U^w(cycles) + B), so a surviving cycle exists iff
+rank V - rank D > rank B.  V_s is minus half the top grading.  Every value
+is recomputed at truncation N+1; disagreement raises, never returns.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ class TruncatedComplex:
             raise ValidationError("floors must give one lower U-bound per generator")
         if any(f < 0 for f in floors):
             raise ValidationError("floors must be non-negative")
+        if any(floors[l] > floors[k] + n for (k, l), n in self.base.differential.items()):
+            raise ValidationError("floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow")
         object.__setattr__(self, "floors", floors)
 
     @property
@@ -162,31 +164,30 @@ class TruncatedComplex:
 
 def _truncated_tower_top(trunc: TruncatedComplex, window: int) -> int | None:
     """Maximal grading with a cycle surviving U^window, or None if none found."""
-    order = trunc.order
-    buckets = trunc.graded_basis()
-    index = {m: {e: i for i, e in enumerate(lst)} for m, lst in buckets.items()}
+    gens, floors, order = trunc.base.generators, trunc.floors, trunc.order
+    width = len(gens)
 
-    def row(e: tuple[int, int], target: dict[tuple[int, int], int]) -> int:
-        v = 0
-        for t in trunc.boundary_of(*e):
-            v |= 1 << target[t]
-        return v
+    def grading(m: int) -> list[tuple[int, int]]:
+        """Basis elements (g, a) of grading m; in a row over m, bit g stands for U^a * g."""
+        return [(g, (mg - m) // 2) for g, (mg, _) in enumerate(gens)
+                if (mg - m) % 2 == 0 and floors[g] <= (mg - m) // 2 < order]
 
-    for m in sorted(buckets, reverse=True):
-        below = m - 2 * window
-        shifted = index.get(below, {})
-        width = len(shifted)
+    def row(g: int, a: int) -> int:
+        """Boundary of U^a * g as a mask over generator numbers (targets are distinct)."""
+        return sum(1 << l for l, _ in trunc.boundary_of(g, a))
+
+    top = max(mg - 2 * f for (mg, _), f in zip(gens, floors))
+    bottom = min(mg for mg, _ in gens) - 2 * (order - 1)
+    for m in range(top, bottom - 1, -1):
         # V with (0, B) added first: rows (de << width | U^window e) whose
         # echelon pivot falls below `width` span U^window(cycles) + B, so
         # their count is rank V - rank D.
         space = BitSpace()
-        for e in buckets.get(below + 1, ()):
-            space.add(row(e, shifted))
+        for e in grading(m - 2 * window + 1):
+            space.add(row(*e))
         rank_b = space.rank
-        target = index.get(m - 1, {})
-        for g, a in buckets[m]:
-            u = 1 << shifted[(g, a + window)] if a + window < order else 0
-            space.add(row((g, a), target) << width | u)
+        for g, a in grading(m):
+            space.add(row(g, a) << width | (1 << g if a + window < order else 0))
         if sum(pivot < width for pivot in space.rows) > rank_b:
             return m
     return None
@@ -358,7 +359,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
 
     Single positive torus knots take the semigroup fast path; everything else
     goes through the chain complex, one sublevel homology per index.  Where
-    both paths apply they are compared (debug builds, small genus).
+    both paths apply they are compared (small genus).
     """
     expr = as_expression(expr)
     key = str(expr)
@@ -368,7 +369,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     knot = expr.single_positive_torus_knot()
     if knot is not None:
         seq = v_sequence_torus(knot)
-        if __debug__ and knot.genus <= 12:
+        if knot.genus <= 12:
             chain = complex_of(expr)
             for s in range(knot.genus + 1):
                 hom = v_invariant(chain, s)

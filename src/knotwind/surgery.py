@@ -48,7 +48,7 @@ class SpincLabel:
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """d-invariants of one n-surgery, fully populated over i = 0..n-1."""
+    """d-invariants of one n-surgery over i = 0..n-1; conjugates d[i] = d[n-i] share one object."""
 
     n: int
     entries: dict[int, Fraction]
@@ -57,7 +57,6 @@ class CorrectionTable:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"surgery coefficient must be a positive integer, got {self.n!r}")
         entries = {int(i): Fraction(v) for i, v in self.entries.items()}
-        object.__setattr__(self, "entries", entries)
         if set(entries) != set(range(self.n)):
             raise ValidationError(
                 f"correction table must cover exactly i = 0..{self.n - 1}, got {sorted(entries)}"
@@ -67,6 +66,7 @@ class CorrectionTable:
                 raise ValidationError(
                     f"conjugation symmetry broken: d[{i}] = {entries[i]} != d[{self.n - i}] = {entries[self.n - i]}"
                 )
+        object.__setattr__(self, "entries", {i: entries[min(i, self.n - i)] for i in range(self.n)})
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]

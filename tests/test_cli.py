@@ -1,7 +1,11 @@
 """Parser round-trips, CLI output formats, exit codes and the cache."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,19 @@ def test_cache_spot_check_catches_stale_values(tmp_path):
     path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}}))
     with pytest.warns(RuntimeWarning):
         assert cache_load(path) == {}
+
+
+def test_cache_spot_check_runs_under_optimize(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import json, sys; from knotwind import cache_load; print(json.dumps(cache_load(sys.argv[1])))"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(done.stdout) == {}
+    assert "stale" in done.stderr
 
 
 def test_cache_spot_check_skips_the_unknot(tmp_path):

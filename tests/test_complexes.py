@@ -238,6 +238,8 @@ def test_truncated_complex_dimension():
     assert floored.dimension == 14
     with pytest.raises(ValidationError):
         TruncatedComplex(chain, 0)
+    with pytest.raises(ValidationError, match="subcomplex"):
+        TruncatedComplex(chain, 5, (0, 0, 2))
 
 
 def test_parallel_evaluation_across_levels_is_deterministic():
@@ -315,6 +317,18 @@ ORACLE_COMPLEXES = {
 }
 
 
+def random_subcomplex_floors(chain, rng, high):
+    """Random floors in [0, high], lowered along arrows until they span a subcomplex."""
+    floors = [rng.randint(0, high) for _ in chain.generators]
+    changed = True
+    while changed:
+        changed = False
+        for (k, l), n in chain.differential.items():
+            if floors[l] > floors[k] + n:
+                floors[l], changed = floors[k] + n, True
+    return tuple(floors)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 def test_tower_top_matches_brute_force(name):
     from knotwind.complexes import _truncated_tower_top, _truncation_order
@@ -329,3 +343,9 @@ def test_tower_top_matches_brute_force(name):
             got = _truncated_tower_top(TruncatedComplex(chain, n, floors), window)
             assert got == brute_tower_top(chain, floors, n, window), (s, n)
             assert got is not None
+    rng = random.Random(name)
+    for _ in range(12):
+        floors = random_subcomplex_floors(chain, rng, order + 1)
+        for n in (order, order + 1):
+            got = _truncated_tower_top(TruncatedComplex(chain, n, floors), window)
+            assert got == brute_tower_top(chain, floors, n, window), (floors, n)

@@ -120,6 +120,7 @@ def test_correction_table_symmetry_and_errors():
     assert set(table.entries) == set(range(6))
     for i in range(1, 6):
         assert table[i] == table[6 - i]
+        assert table[i] is table[6 - i]  # checked equal, then stored once
     with pytest.raises(ValidationError, match="conjugation"):
         CorrectionTable(3, {0: Fraction(0), 1: Fraction(1), 2: Fraction(2)})
     with pytest.raises(ValidationError, match="cover"):
