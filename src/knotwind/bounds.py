@@ -151,12 +151,17 @@ class EssentialInput:
     def __post_init__(self) -> None:
         if not isinstance(self.w, int) or self.w < 2 or self.w % 2 != 0:
             raise ValidationError(f"winding class w must be a positive even integer, got {self.w!r}")
+        table = {}
         for k, v in self.dtable.items():
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+            try:
+                if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
+                    raise TypeError
+                value = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError):
                 raise ValidationError(
                     f"d-table value for residue {k!r} must be an exact rational, got {v!r}"
-                )
-        table = {int(k): Fraction(v) for k, v in self.dtable.items()}
+                ) from None
+            table[int(k)] = value
         object.__setattr__(self, "dtable", table)
         size = self.w * self.w
         if set(table) != set(range(size)):

@@ -15,6 +15,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
+from .complexes import v_sequence
 from .errors import ValidationError
 from .knots import parse_knot_expr
 
@@ -34,8 +35,6 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
     Genus-0 entries (the unknot) cannot disagree, so one is picked only
     when nothing else is cached.
     """
-    from .complexes import v_sequence  # deferred: cache must import before complexes
-
     cheapest = None
     cheapest_cost = None
     for key in entries:

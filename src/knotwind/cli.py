@@ -229,7 +229,9 @@ def _load_dtable(path: str, w: int) -> EssentialInput:
             residue = int(key)
         except ValueError:
             raise ValidationError(f"d-table key {key!r} is not an integer residue") from None
-        table[residue] = parse_fraction(val) if isinstance(val, str) else val
+        if residue in table:
+            raise ValidationError(f"d-table key {key!r} names residue {residue} a second time")
+        table[residue] = val
     return EssentialInput(w, table)
 
 

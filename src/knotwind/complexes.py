@@ -334,14 +334,15 @@ def v_memo(entries: Mapping[str, list[int]]) -> Iterator[dict[str, list[int]]]:
         _memo.reset(token)
 
 
-def _recall(key: str) -> VSequence | None:
-    memo = _memo.get()
+def _recall(expr: KnotExpression) -> VSequence | None:
+    memo, key = _memo.get(), str(expr)
     if memo is None or key not in memo:
         return None
     try:
-        return VSequence(tuple(memo[key]))
+        seq = VSequence(tuple(memo[key]))
     except (ValidationError, TypeError, ValueError):
         return None  # stale or corrupt memo entry: recompute and overwrite
+    return None if any(seq.values[expr.genus:]) else seq  # V_s = 0 once s >= genus
 
 
 def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
@@ -362,8 +363,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     both paths apply they are compared (small genus).
     """
     expr = as_expression(expr)
-    key = str(expr)
-    seq = _recall(key)
+    seq = _recall(expr)
     if seq is not None:
         return seq
     knot = expr.single_positive_torus_knot()
@@ -389,21 +389,15 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
             raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
     memo = _memo.get()
     if memo is not None:
-        memo[key] = list(seq.values)
+        memo[str(expr)] = list(seq.values)
     return seq
 
 
 def v_at(expr: KnotExpression | TorusKnot, s: int) -> int:
-    """V_s of an expression without computing the whole sequence."""
+    """V_s: one level searched on the unmemoised homology route, else `v_sequence(expr).at(s)`."""
     expr = as_expression(expr)
     if not isinstance(s, int) or s < 0:
         raise ValidationError(f"V-sequence index must be a non-negative integer, got {s!r}")
-    if expr.is_unknot:
-        return 0
-    seq = _recall(str(expr))
-    if seq is not None:
-        return seq.at(s)
-    knot = expr.single_positive_torus_knot()
-    if knot is not None:
-        return v_sequence_torus(knot).at(s)
-    return v_invariant(complex_of(expr), s)
+    if v_route(expr)[0] == "staircase homology" and _recall(expr) is None:
+        return v_invariant(complex_of(expr), s)
+    return v_sequence(expr).at(s)

@@ -175,6 +175,7 @@ def test_cli_bound_essential(tmp_path):
         {"w": 2, "d": {"0": 0.1, "1": True, "2": 0, "3": "0"}},
         {"w": 2, "d": {"0": "1", "1": True, "2": 0, "3": "0"}},
         {"w": 2.0, "d": {"0": "1", "1": "0", "2": "0", "3": "0"}},
+        {"w": 2, "d": {"0": "1", "1": "0", "01": "5", "2": "0", "3": "0"}},
     ]
     for text in ["{not json"] + [json.dumps(table) for table in inexact]:
         broken.write_text(text)
@@ -272,6 +273,12 @@ def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     assert stored["entries"]["T(3,4)"] == [1, 1, 1, 0]
     second = run_ok(["vseq", "T(3,4)", "--format", "json", "--cache", str(path)])
     assert plain == first == second
+
+
+def test_cli_bound_winding_caches_the_torus_knot(tmp_path):
+    path = tmp_path / "cache.json"
+    run_ok(["bound", "winding", "T(2,5)", "--cache", str(path)])
+    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
 
 
 def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):

@@ -4,19 +4,25 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotwind import (
     BifilteredComplex,
+    InternalCheckError,
     KnotExpression,
     TorusKnot,
     TruncatedComplex,
     ValidationError,
+    VSequence,
     complex_of,
     dualize,
     parse_knot_expr,
     staircase,
     tensor,
+    v_at,
     v_invariant,
+    v_memo,
     v_route,
     v_sequence,
     v_sequence_torus,
@@ -177,6 +183,51 @@ def test_v_sequence_dispatch_and_examples():
     assert v_route(parse_knot_expr("T(6,7)"))[0] == "semigroup count"
     assert v_route(parse_knot_expr("-T(6,7)"))[0] == "staircase homology"
     assert v_route(parse_knot_expr("U"))[0] == "unknot"
+
+
+def test_v_at_torus_knot_is_cross_checked(monkeypatch):
+    import knotwind.complexes as cx
+
+    monkeypatch.setattr(cx, "v_sequence_torus", lambda knot: VSequence((2, 1, 0)))
+    with pytest.raises(InternalCheckError, match="path disagreement"):
+        v_at(TorusKnot(2, 5), 0)
+
+
+def test_v_at_fills_the_memo_off_the_homology_route():
+    with v_memo({}) as memo:
+        assert v_at(TorusKnot(2, 5), 0) == 1
+        assert v_at(KnotExpression.unknot(), 0) == 0
+        assert v_at(parse_knot_expr("-T(2,5)"), 0) == 0
+    assert memo == {"T(2,5)": [1, 1, 0], "U": []}
+
+
+def test_memo_entries_nonzero_at_the_genus_are_recomputed():
+    unknot = KnotExpression.unknot()
+    with v_memo({"U": [1], "T(2,3)": [1, 1]}) as memo:
+        assert v_at(unknot, 0) == 0
+        assert v_at(TREFOIL, 1) == 0
+        assert list(v_sequence(unknot)) == []
+    assert memo == {"U": [], "T(2,3)": [1, 0]}
+
+
+ROUTE_TORUS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]
+small_sums = st.lists(
+    st.tuples(st.sampled_from(ROUTE_TORUS), st.sampled_from((1, -1))), max_size=3
+).map(
+    lambda summands: KnotExpression(tuple((TorusKnot(p, q), sign) for (p, q), sign in summands))
+).filter(lambda expr: expr.genus <= 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_sums)
+def test_v_at_agrees_with_v_sequence_on_every_route(expr):
+    seq = v_sequence(expr)
+    levels = range(expr.genus + 2)
+    expected = [seq.at(s) for s in levels]
+    assert [v_at(expr, s) for s in levels] == expected
+    for entries in ({}, {str(expr): list(seq.values)}):
+        with v_memo(entries):
+            assert [v_at(expr, s) for s in levels] == expected
 
 
 def test_diamond_consistency_grid():
