@@ -154,6 +154,14 @@ class EssentialInput:
         table = {}
         for k, v in self.dtable.items():
             try:
+                if isinstance(k, bool) or not isinstance(k, (int, str)):
+                    raise TypeError
+                residue = int(k)
+            except (TypeError, ValueError):
+                raise ValidationError(f"d-table key {k!r} is not an integer residue") from None
+            if residue in table:
+                raise ValidationError(f"d-table key {k!r} names residue {residue} a second time")
+            try:
                 if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
                     raise TypeError
                 value = Fraction(v)
@@ -161,7 +169,7 @@ class EssentialInput:
                 raise ValidationError(
                     f"d-table value for residue {k!r} must be an exact rational, got {v!r}"
                 ) from None
-            table[int(k)] = value
+            table[residue] = value
         object.__setattr__(self, "dtable", table)
         size = self.w * self.w
         if set(table) != set(range(size)):

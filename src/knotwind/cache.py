@@ -15,9 +15,10 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .complexes import v_sequence
+from .complexes import v_route, v_sequence
 from .errors import ValidationError
 from .knots import parse_knot_expr
+from .semigroup import v_sequence_torus
 
 CACHE_ENV = "KNOTWIND_CACHE"
 
@@ -33,7 +34,8 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
     """Recompute the cheapest entry; False means the cache cannot be trusted.
 
     Genus-0 entries (the unknot) cannot disagree, so one is picked only
-    when nothing else is cached.
+    when nothing else is cached.  Every entry on the semigroup route is
+    also compared with its semigroup count, which needs no complex.
     """
     cheapest = None
     cheapest_cost = None
@@ -42,6 +44,9 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
             expr = parse_knot_expr(key)
         except ValidationError:
             return False
+        if v_route(expr)[0] == "semigroup count":
+            if list(v_sequence_torus(expr.single_positive_torus_knot()).values) != entries[key]:
+                return False
         cost = (expr.genus == 0, len(expr.summands), expr.genus)
         if cheapest_cost is None or cost < cheapest_cost:
             cheapest, cheapest_cost = (key, expr), cost

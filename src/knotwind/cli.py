@@ -223,16 +223,7 @@ def _load_dtable(path: str, w: int) -> EssentialInput:
         raise ValidationError(f"--w {w} does not match the file's w = {raw['w']}")
     if not isinstance(raw["d"], dict):
         raise ValidationError("d-table entry 'd' must be an object of residue -> rational")
-    table = {}
-    for key, val in raw["d"].items():
-        try:
-            residue = int(key)
-        except ValueError:
-            raise ValidationError(f"d-table key {key!r} is not an integer residue") from None
-        if residue in table:
-            raise ValidationError(f"d-table key {key!r} names residue {residue} a second time")
-        table[residue] = val
-    return EssentialInput(w, table)
+    return EssentialInput(w, raw["d"])
 
 
 def _cmd_bound_essential(args) -> BoundReport:

@@ -81,7 +81,7 @@ def count_below(semigroup: NumericalSemigroup, t: int) -> int:
     return semigroup.count_below(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VSequence:
     """Non-increasing non-negative integers; entries beyond the list are 0."""
 

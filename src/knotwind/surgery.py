@@ -46,7 +46,7 @@ class SpincLabel:
         return SpincLabel(self.n, (self.n - self.i) % self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionTable:
     """d-invariants of one n-surgery over i = 0..n-1; conjugates d[i] = d[n-i] share one object."""
 

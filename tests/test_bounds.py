@@ -127,6 +127,12 @@ def test_essential_input_validation():
     for inexact in (0.5, True, "abc", "1/0"):
         with pytest.raises(ValidationError, match="exact"):
             EssentialInput(2, {0: inexact, 1: 0, 2: 0, 3: 0})
+    for twice in ({0: 0, 1: 0, "1": 5, 2: 0, 3: 0}, {"0": 0, "1": 0, "01": 5, "2": 0, "3": 0}):
+        with pytest.raises(ValidationError, match="second time"):
+            EssentialInput(2, twice)
+    for key in ("x", 1.0, True):
+        with pytest.raises(ValidationError, match="integer residue"):
+            EssentialInput(2, {0: 0, key: 0, 2: 0, 3: 0})
 
 
 def test_each_v0_is_computed_once(monkeypatch):

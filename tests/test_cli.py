@@ -263,6 +263,16 @@ def test_cache_spot_check_skips_the_unknot(tmp_path):
     assert cache_load(path) == {"U": []}
 
 
+def test_cache_spot_check_compares_every_torus_knot(tmp_path):
+    path = tmp_path / "cache.json"
+    stale = {"T(2,3)": [1, 0], "T(2,5)": [2, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    with pytest.warns(RuntimeWarning, match="stale"):
+        out = run_ok(["vseq", "T(2,5)", "--format", "json", "--cache", str(path)])
+    assert json.loads(out)["value"] == [1, 1, 0]
+    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
+
+
 def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     path = tmp_path / "cache.json"
     plain = run_ok(["vseq", "T(3,4)", "--format", "json", "--no-cache"])

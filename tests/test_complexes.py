@@ -382,7 +382,7 @@ def random_subcomplex_floors(chain, rng, high):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 def test_tower_top_matches_brute_force(name):
-    from knotwind.complexes import _truncated_tower_top, _truncation_order
+    from knotwind.complexes import _truncated_tower_top, _truncation_order, reduce_sublevel
 
     chain = ORACLE_COMPLEXES[name]
     assert chain.n_generators <= 9
@@ -390,13 +390,41 @@ def test_tower_top_matches_brute_force(name):
     order = _truncation_order(chain)
     for s in range(chain.alexander_radius + 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
+        reduced = reduce_sublevel(chain, floors)
+        assert 0 not in reduced.differential.values(), s
         for n in (order, order + 1):
             got = _truncated_tower_top(TruncatedComplex(chain, n, floors), window)
             assert got == brute_tower_top(chain, floors, n, window), (s, n)
             assert got is not None
+            assert _truncated_tower_top(TruncatedComplex(reduced, n), window) == got, (s, n)
     rng = random.Random(name)
     for _ in range(12):
         floors = random_subcomplex_floors(chain, rng, order + 1)
         for n in (order, order + 1):
             got = _truncated_tower_top(TruncatedComplex(chain, n, floors), window)
             assert got == brute_tower_top(chain, floors, n, window), (floors, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_sums)
+def test_reduced_and_unreduced_tower_tops_agree(expr):
+    from knotwind.complexes import _guarded_tower_top, _stable_tower_top, _truncation_order
+
+    chain = complex_of(expr)
+    order, window = _truncation_order(chain), chain.alexander_radius + 1
+    for s in range(expr.genus + 1):
+        floors = tuple(max(0, a - s) for _, a in chain.generators)
+        assert _stable_tower_top(chain, floors) == _guarded_tower_top(chain, floors, order, window), s
+
+
+@pytest.mark.parametrize(
+    "text, head",
+    [
+        ("T(5,11) # -T(5,11)", []),
+        ("T(4,9) # -T(3,7) # T(2,5)", [3, 3, 2, 2, 1, 1, 1, 1]),
+        ("T(7,8) # -T(5,9)", [2, 2, 2, 1, 1, 1]),
+    ],
+)
+def test_large_mixed_sums(text, head):
+    expr = parse_knot_expr(text)
+    assert list(v_sequence(expr)) == head + [0] * (expr.genus + 1 - len(head))

@@ -1,5 +1,6 @@
 """Semigroup arithmetic against independent enumeration and ceiling-sum oracles."""
 
+from dataclasses import FrozenInstanceError
 from math import ceil, gcd
 
 import pytest
@@ -124,7 +125,10 @@ def test_v_sequence_invariants_small_grid():
 
 
 def test_vsequence_validation():
-    VSequence((3, 2, 2, 1, 1, 0))
+    seq = VSequence((3, 2, 2, 1, 1, 0))
+    with pytest.raises(FrozenInstanceError):
+        seq.values = (0,)
+    assert not hasattr(seq, "__dict__")
     with pytest.raises(ValidationError):
         VSequence((1, 2))  # increasing
     with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,9 @@ def test_correction_table_symmetry_and_errors():
     for i in range(1, 6):
         assert table[i] == table[6 - i]
         assert table[i] is table[6 - i]  # checked equal, then stored once
+    with pytest.raises(FrozenInstanceError):
+        table.n = 7
+    assert not hasattr(table, "__dict__")
     with pytest.raises(ValidationError, match="conjugation"):
         CorrectionTable(3, {0: Fraction(0), 1: Fraction(1), 2: Fraction(2)})
     with pytest.raises(ValidationError, match="cover"):
