@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import A_SEMIGROUP, A_TOWER, v_at, v_route
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import diamond_reduce, v_sequence_torus
 from .surgery import CorrectionTable, dtw_zero
@@ -126,8 +126,7 @@ def multi_sphere_bound(
     table_y: CorrectionTable, table_neg_y: CorrectionTable, m: int
 ) -> BoundReport:
     """Winding bound for null-homologous knots in a connected sum of m copies of S^2 x S^1."""
-    if not isinstance(m, int) or m < 1:
-        raise ValidationError(f"sphere count m must be a positive integer, got {m!r}")
+    exact_int(m, "sphere count m must be a positive integer", 1)
     best = 2 * correction_rhs(table_y, table_neg_y)  # max_i { ... + 1 }
     pre = 2 * best - 2 * m
     value = pre if pre > 0 else Fraction(0)
@@ -149,27 +148,20 @@ class EssentialInput:
     dtable: dict[int, Fraction]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.w, int) or self.w < 2 or self.w % 2 != 0:
-            raise ValidationError(f"winding class w must be a positive even integer, got {self.w!r}")
+        what = "winding class w must be a positive even integer"
+        if exact_int(self.w, what, 2) % 2:
+            raise ValidationError(f"{what}, got {self.w!r}")
         table = {}
         for k, v in self.dtable.items():
-            try:
-                if isinstance(k, bool) or not isinstance(k, (int, str)):
-                    raise TypeError
-                residue = int(k)
-            except (TypeError, ValueError):
+            try:  # JSON keys are strings; ValidationError is a ValueError too
+                residue = exact_int(int(k) if isinstance(k, str) else k, "d-table key")
+            except ValueError:
                 raise ValidationError(f"d-table key {k!r} is not an integer residue") from None
             if residue in table:
                 raise ValidationError(f"d-table key {k!r} names residue {residue} a second time")
-            try:
-                if isinstance(v, bool) or not isinstance(v, (int, Fraction, str)):
-                    raise TypeError
-                value = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ValidationError(
-                    f"d-table value for residue {k!r} must be an exact rational, got {v!r}"
-                ) from None
-            table[residue] = value
+            table[residue] = exact_rational(
+                v, lambda: f"d-table value for residue {k!r} must be an exact rational, got {v!r}"
+            )
         object.__setattr__(self, "dtable", table)
         size = self.w * self.w
         if set(table) != set(range(size)):
@@ -240,8 +232,7 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
     induced minimum 4n+2, sharp against the explicit sphere with 4n+2
     intersections.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"family index must be a positive integer, got {n!r}")
+    exact_int(n, "family index must be a positive integer", 1)
     j_knot = TorusKnot(4 * n + 2, 4 * n + 3)
     jp_expr = KnotExpression.torus(2 * n + 1, 4 * n + 3) + KnotExpression.torus(2 * n + 1, 4 * n + 3)
     m = (4 * n + 2) * (4 * n + 3)

@@ -37,23 +37,19 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
     when nothing else is cached.  Every entry on the semigroup route is
     also compared with its semigroup count, which needs no complex.
     """
-    cheapest = None
-    cheapest_cost = None
+    exprs = {}
     for key in entries:
         try:
-            expr = parse_knot_expr(key)
+            expr = exprs[key] = parse_knot_expr(key)
         except ValidationError:
             return False
         if v_route(expr)[0] == "semigroup count":
             if list(v_sequence_torus(expr.single_positive_torus_knot()).values) != entries[key]:
                 return False
-        cost = (expr.genus == 0, len(expr.summands), expr.genus)
-        if cheapest_cost is None or cost < cheapest_cost:
-            cheapest, cheapest_cost = (key, expr), cost
-    if cheapest is None or cheapest_cost[2] > _SPOT_CHECK_GENUS_LIMIT:
+    key = min(exprs, key=lambda k: (exprs[k].genus == 0, len(exprs[k].summands), exprs[k].genus))
+    if exprs[key].genus > _SPOT_CHECK_GENUS_LIMIT:
         return True
-    key, expr = cheapest
-    return list(v_sequence(expr).values) == entries[key]
+    return list(v_sequence(exprs[key]).values) == entries[key]
 
 
 def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:

@@ -6,8 +6,8 @@ Every command renders one structured document:
 
 Rationals are serialised as reduced "num/den" strings (plain "num" when the
 denominator is 1), never as floats.  Exit status: 0 success, 2 validation
-error, 1 internal consistency failure; with --format json failures print a
-machine-readable {"error": ...} document.
+error, 1 internal consistency failure or exhausted memory or recursion
+depth; --format json prints failures as {"error": {"kind", "message"}}.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .cache import CACHE_ENV, cache_load, cache_store
 from .complexes import v_memo, v_route, v_sequence
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
 from .knots import parse_knot_expr
 from .surgery import correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
 
@@ -50,7 +50,7 @@ A_PLUMBING = "plumbing"
 
 
 def fraction_str(value: Fraction | int) -> str:
-    return str(Fraction(value))  # "num/den", or plain "num" when the denominator is 1
+    return str(exact_rational(value, "fraction_str needs an exact rational"))  # "num/den" or "num"
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -142,10 +142,10 @@ def build_parser() -> _Parser:
     bound_sub = bound.add_subparsers(dest="bound_kind", metavar="KIND")
     p = bound_sub.add_parser("winding", help="winding bound via the 0-surgery knot J")
     p.add_argument("expr")
-    _add_leaf(p, _cmd_bound_winding, "bound winding")
+    _add_leaf(p, lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)), "bound winding")
     p = bound_sub.add_parser("shake", help="0-shake genus bound")
     p.add_argument("expr")
-    _add_leaf(p, _cmd_bound_shake, "bound shake")
+    _add_leaf(p, lambda args: shake_bound(parse_knot_expr(args.expr)), "bound shake")
     p = bound_sub.add_parser("essential", help="essential-class bound from a d-table file")
     p.add_argument("--w", type=int, required=True, help="even winding class")
     p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
@@ -155,9 +155,9 @@ def build_parser() -> _Parser:
     examples_sub = examples.add_subparsers(dest="example", metavar="NAME")
     p = examples_sub.add_parser("kn", help="the sharp family with winding number 4n+2")
     p.add_argument("--n", type=int, required=True)
-    _add_leaf(p, _cmd_examples_kn, "examples kn")
+    _add_leaf(p, lambda args: reproduce_kn(args.n), "examples kn")
     p = examples_sub.add_parser("whitehead", help="the knotified Hopf link bound")
-    _add_leaf(p, _cmd_examples_whitehead, "examples whitehead")
+    _add_leaf(p, lambda args: reproduce_whitehead(), "examples whitehead")
 
     seifert = sub.add_parser("seifert", help="Seifert presentations")
     seifert_sub = seifert.add_subparsers(dest="seifert_kind", metavar="NAME")
@@ -200,14 +200,6 @@ def _cmd_dinv(args) -> BoundReport:
     return BoundReport("dinv", value, None, inputs, trail)
 
 
-def _cmd_bound_winding(args) -> BoundReport:
-    return winding_bound_via_zero_surgery(parse_knot_expr(args.expr))
-
-
-def _cmd_bound_shake(args) -> BoundReport:
-    return shake_bound(parse_knot_expr(args.expr))
-
-
 def _load_dtable(path: str, w: int) -> EssentialInput:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -217,9 +209,7 @@ def _load_dtable(path: str, w: int) -> EssentialInput:
         raise ValidationError(f"d-table file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "w" not in raw or "d" not in raw:
         raise ValidationError(f'd-table file {path} must be {{"w": int, "d": {{...}}}}')
-    if type(raw["w"]) is not int:
-        raise ValidationError(f"d-table 'w' must be a JSON integer, got {raw['w']!r}")
-    if raw["w"] != w:
+    if exact_int(raw["w"], "d-table 'w' must be a JSON integer") != w:
         raise ValidationError(f"--w {w} does not match the file's w = {raw['w']}")
     if not isinstance(raw["d"], dict):
         raise ValidationError("d-table entry 'd' must be an object of residue -> rational")
@@ -229,14 +219,6 @@ def _load_dtable(path: str, w: int) -> EssentialInput:
 def _cmd_bound_essential(args) -> BoundReport:
     report = essential_report(_load_dtable(args.dtable, args.w))
     return replace(report, inputs={**report.inputs, "dtable": args.dtable})
-
-
-def _cmd_examples_kn(args) -> BoundReport:
-    return reproduce_kn(args.n)
-
-
-def _cmd_examples_whitehead(args) -> BoundReport:
-    return reproduce_whitehead()
 
 
 def _cmd_seifert_kn(args) -> BoundReport:
@@ -315,13 +297,17 @@ def render_document(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _error_output(exc: ValidationError | InternalCheckError, fmt: str) -> tuple[int, str, str]:
+def _error_output(exc: Exception, fmt: str) -> tuple[int, str, str]:
     """(exit status, stdout, stderr) of a failed command."""
-    kind, status = ("validation", 2) if isinstance(exc, ValidationError) else ("internal", 1)
+    kind = "validation" if isinstance(exc, ValidationError) else (
+        "internal" if isinstance(exc, InternalCheckError) else "resource"
+    )
+    status = 2 if kind == "validation" else 1
+    message = str(exc) or type(exc).__name__  # MemoryError() has no text of its own
     if fmt == "json":
-        doc = {"error": {"kind": kind, "message": str(exc)}}
+        doc = {"error": {"kind": kind, "message": message}}
         return status, json.dumps(doc, indent=2, ensure_ascii=False) + "\n", ""
-    return status, "", f"error ({kind}): {exc}\n"
+    return status, "", f"error ({kind}): {message}\n"
 
 
 def _sniff_format(argv: Sequence[str]) -> str:
@@ -346,15 +332,15 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     cache_path = None
     if not args.no_cache:
         cache_path = args.cache or os.environ.get(CACHE_ENV) or None
-    loaded = cache_load(cache_path) if cache_path else {}
-    with v_memo(loaded) as memo:
-        try:
+    try:  # the cache spot check computes V-sequences too
+        loaded = cache_load(cache_path) if cache_path else {}
+        with v_memo(loaded) as memo:
             output = render_document(_report_doc(args.title, args.handler(args)), fmt)
             if cache_path and memo != loaded:
                 cache_store(cache_path, memo)
             return 0, output, ""
-        except (ValidationError, InternalCheckError) as exc:
-            return _error_output(exc, fmt)
+    except (ValidationError, InternalCheckError, MemoryError, RecursionError) as exc:
+        return _error_output(exc, fmt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator, Mapping
 
-from .errors import InternalCheckError, TruncationInstabilityError, ValidationError
+from .errors import InternalCheckError, TruncationInstabilityError, ValidationError, exact_int
 from .gf2 import BitSpace
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import VSequence, semigroup_from_pair, v_sequence_torus
@@ -69,6 +69,9 @@ from .semigroup import VSequence, semigroup_from_pair, v_sequence_torus
 # Trail anchors of the two V routes: the identities the values are read off from.
 A_SEMIGROUP = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
 A_TOWER = "V_s = -(top grading of the U-tower of A_s^-)/2"
+
+_GRADINGS = "generator gradings must be integers"
+_FLOORS = "floors must be integers"
 
 
 @dataclass(frozen=True)
@@ -83,23 +86,21 @@ class BifilteredComplex:
     )
 
     def __post_init__(self) -> None:
-        gens = tuple((int(m), int(a)) for m, a in self.generators)
+        gens = tuple((exact_int(m, _GRADINGS), exact_int(a, _GRADINGS)) for m, a in self.generators)
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ValidationError("a complex needs at least one generator")
         count = len(gens)
         diff: dict[tuple[int, int], int] = {}
+        out: list[list[tuple[int, int]]] = [[] for _ in gens]
         for (k, l), n in self.differential.items():
             if not (0 <= k < count and 0 <= l < count):
                 raise ValidationError(f"differential entry ({k},{l}) is out of range")
-            n = int(n)
-            if n < 0:
+            if exact_int(n, "U-exponents must be integers") < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
             diff[(k, l)] = n
-        object.__setattr__(self, "differential", diff)
-        out: list[list[tuple[int, int]]] = [[] for _ in gens]
-        for (k, l), n in diff.items():
             out[k].append((l, n))
+        object.__setattr__(self, "differential", diff)
         object.__setattr__(self, "arrows_out", tuple(map(tuple, out)))
         for (k, l), n in diff.items():
             mk, ak = gens[k]
@@ -155,10 +156,8 @@ class TruncatedComplex:
     floors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValidationError(f"truncation order must be a positive integer, got {self.order!r}")
-        floors = self.floors or (0,) * self.base.n_generators
-        floors = tuple(int(f) for f in floors)
+        exact_int(self.order, "truncation order must be a positive integer", 1)
+        floors = tuple(exact_int(f, _FLOORS) for f in self.floors) or (0,) * self.base.n_generators
         if len(floors) != self.base.n_generators:
             raise ValidationError("floors must give one lower U-bound per generator")
         if any(f < 0 for f in floors):
@@ -235,7 +234,7 @@ def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> Bif
     on every arrow.  Raises InternalCheckError if nothing survives.
     """
     gens = complex_.generators
-    if len(floors) != len(gens) or any(f < 0 for f in floors):
+    if len(floors) != len(gens) or any(exact_int(f, _FLOORS) < 0 for f in floors):
         raise ValidationError("floors must give one non-negative lower U-bound per generator")
     out: list[dict[int, int]] = [{} for _ in gens]  # out[k][l] = exponent of k->l
     into: list[dict[int, int]] = [{} for _ in gens]  # into[l][k] = the same exponent
@@ -345,11 +344,9 @@ def staircase(knot: TorusKnot) -> BifilteredComplex:
     gens: list[tuple[int, int]] = []
     maslov = 0
     for j, alex in enumerate(exponents):
-        if j == 0:
-            maslov = 0
-        elif j % 2 == 1:
-            maslov = maslov + 1 - 2 * (exponents[j - 1] - alex)
-        else:
+        if j % 2 == 1:
+            maslov += 1 - 2 * (exponents[j - 1] - alex)
+        elif j:
             maslov -= 1
         gens.append((maslov, alex))
     diff: dict[tuple[int, int], int] = {}
@@ -401,8 +398,7 @@ def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
 
 def v_invariant(complex_: BifilteredComplex, s: int) -> int:
     """V_s: minus half the tower-top grading of the sublevel subcomplex A_s^-."""
-    if not isinstance(s, int) or s < 0:
-        raise ValidationError(f"V-invariant level must be a non-negative integer, got {s!r}")
+    exact_int(s, "V-invariant level must be a non-negative integer", 0)
     floors = tuple(max(0, a - s) for _, a in complex_.generators)
     top = _stable_tower_top(complex_, floors)
     if top > 0 or top % 2 != 0:
@@ -433,14 +429,18 @@ def v_memo(entries: Mapping[str, list[int]]) -> Iterator[dict[str, list[int]]]:
 
 
 def _recall(expr: KnotExpression) -> VSequence | None:
-    memo, key = _memo.get(), str(expr)
-    if memo is None or key not in memo:
+    """The memo entry of `expr` if it has the shape `v_sequence` returns: V_0..V_g
+    ending in V_g = 0 for genus g, nothing for the unknot.  Else None (recompute)."""
+    memo = _memo.get()
+    values = None if memo is None else memo.get(str(expr))
+    if values is None:
         return None
     try:
-        seq = VSequence(tuple(memo[key]))
-    except (ValidationError, TypeError, ValueError):
-        return None  # stale or corrupt memo entry: recompute and overwrite
-    return None if any(seq.values[expr.genus:]) else seq  # V_s = 0 once s >= genus
+        seq = VSequence(tuple(values))
+    except (ValidationError, TypeError):
+        return None
+    length = expr.genus + 1 if expr.summands else 0
+    return seq if len(seq) == length and not any(seq.values[-1:]) else None
 
 
 def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
@@ -494,8 +494,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
 def v_at(expr: KnotExpression | TorusKnot, s: int) -> int:
     """V_s: one level searched on the unmemoised homology route, else `v_sequence(expr).at(s)`."""
     expr = as_expression(expr)
-    if not isinstance(s, int) or s < 0:
-        raise ValidationError(f"V-sequence index must be a non-negative integer, got {s!r}")
+    exact_int(s, "V-sequence index must be a non-negative integer", 0)
     if v_route(expr)[0] == "staircase homology" and _recall(expr) is None:
         return v_invariant(complex_of(expr), s)
     return v_sequence(expr).at(s)

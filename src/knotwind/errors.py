@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one exact-input rule: `exact_int` and `exact_rational`.
+
+Every integer input of the package is an int and every rational input an
+int, a Fraction or a string that parses exactly; bools and floats are
+neither, and raise `ValidationError` instead of being rounded or converted.
+The message, built only on failure, is "<what>, got <value!r>", or what()
+when `what` is callable.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
 
 
 class KnotwindError(Exception):
@@ -15,3 +26,21 @@ class InternalCheckError(KnotwindError, RuntimeError):
 
 class TruncationInstabilityError(InternalCheckError):
     """A homological value changed between truncation orders N and N+1."""
+
+
+def exact_int(value: object, what, low: int | None = None) -> int:
+    """`value` if it is an int, not a bool, and at least `low`."""
+    is_int = value.__class__ is int or isinstance(value, int) and not isinstance(value, bool)
+    if is_int and (low is None or value >= low):  # the class test first: plain ints are hot
+        return value
+    raise ValidationError(what() if callable(what) else f"{what}, got {value!r}")
+
+
+def exact_rational(value: object, what) -> Fraction:
+    """`value` as a Fraction: a Fraction, a string parsed exactly, or an int (not a bool)."""
+    if isinstance(value, (Fraction, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass  # rejected below, with the same message as any other non-integer
+    return Fraction(exact_int(value, what))

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ValidationError
+from .errors import ValidationError, exact_int
+
+_SIGN = "summand sign must be +1 or -1"
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,8 @@ class TorusKnot:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        if not isinstance(p, int) or not isinstance(q, int) or isinstance(p, bool) or isinstance(q, bool):
-            raise ValidationError(f"torus knot parameters must be integers, got ({p!r},{q!r})")
+        for v in (p, q):
+            exact_int(v, lambda: f"torus knot parameters must be integers, got ({p!r},{q!r})")
         if p > q:
             p, q = q, p
             object.__setattr__(self, "p", p)
@@ -61,8 +63,8 @@ class KnotExpression:
                 raise ValidationError(f"summand {item!r} is not a (TorusKnot, sign) pair") from None
             if not isinstance(knot, TorusKnot):
                 raise ValidationError(f"summand knot {knot!r} is not a TorusKnot")
-            if sign not in (1, -1):
-                raise ValidationError(f"summand sign must be +1 or -1, got {sign!r}")
+            if exact_int(sign, _SIGN) not in (1, -1):
+                raise ValidationError(f"{_SIGN}, got {sign!r}")
             cleaned.append((knot, sign))
         cleaned.sort(key=lambda ks: (ks[0].p, ks[0].q, 0 if ks[1] > 0 else 1))
         object.__setattr__(self, "summands", tuple(cleaned))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import ValidationError
+from .errors import ValidationError, exact_int
 from .knots import KnotExpression, TorusKnot
 
 
@@ -25,8 +25,8 @@ class NumericalSemigroup:
     """Membership table for Gamma(p,q) on [0, conductor)."""
 
     def __init__(self, p: int, q: int) -> None:
-        if not isinstance(p, int) or not isinstance(q, int):
-            raise ValidationError(f"semigroup generators must be integers, got ({p!r},{q!r})")
+        for v in (p, q):
+            exact_int(v, lambda: f"semigroup generators must be integers, got ({p!r},{q!r})")
         if p > q:
             p, q = q, p
         if p < 2:
@@ -57,8 +57,7 @@ class NumericalSemigroup:
 
     def count_below(self, t: int) -> int:
         """card(Gamma intersect [0, t))."""
-        if not isinstance(t, int) or t < 0:
-            raise ValidationError(f"count_below needs a non-negative integer, got {t!r}")
+        exact_int(t, "count_below needs a non-negative integer", 0)
         if t >= self.conductor:
             return self._prefix[self.conductor] + (t - self.conductor)
         return self._prefix[t]
@@ -71,7 +70,7 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({self.p},{self.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def semigroup_from_pair(p: int, q: int) -> NumericalSemigroup:
     """The semigroup generated by p and q (validated, cached by pair)."""
     return NumericalSemigroup(p, q)
@@ -88,7 +87,7 @@ class VSequence:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(exact_int(v, "V-values must be integers") for v in self.values)
         object.__setattr__(self, "values", vals)
         prev = None
         for i, v in enumerate(vals):
@@ -101,8 +100,7 @@ class VSequence:
             raise ValidationError(f"last stored entry {vals[-1]} cannot step down to the implicit 0")
 
     def at(self, i: int) -> int:
-        if not isinstance(i, int) or i < 0:
-            raise ValidationError(f"V-sequence index must be a non-negative integer, got {i!r}")
+        exact_int(i, "V-sequence index must be a non-negative integer", 0)
         return self.values[i] if i < len(self.values) else 0
 
     def __getitem__(self, i: int) -> int:
@@ -122,7 +120,7 @@ class MultiplicitySequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ents = tuple(int(e) for e in self.entries)
+        ents = tuple(exact_int(e, "multiplicities must be integers") for e in self.entries)
         object.__setattr__(self, "entries", ents)
         for i, e in enumerate(ents):
             if e < 1:
@@ -160,11 +158,13 @@ _V0_CLOSED_FORMS = {
 }
 
 
-def _family(tag: object) -> str:
+def _family(tag: object, n: int) -> tuple:
+    """(closed form, knot) of family `tag`, once its parameter n is checked."""
     key = str(tag).strip().upper()
     if key not in _V0_CLOSED_FORMS:
         raise ValidationError(f"unknown V_0 family {tag!r}; expected one of I, II, III")
-    return key
+    exact_int(n, "family parameter must be a positive integer", 1)
+    return _V0_CLOSED_FORMS[key]
 
 
 def v0_closed_form(family: str, n: int) -> int:
@@ -173,18 +173,12 @@ def v0_closed_form(family: str, n: int) -> int:
     Family I is T(2n,2n+1), II is T(2n,8n+1), III is T(2n+1,8n+5); these are
     independent oracles against `v_sequence_torus`.
     """
-    key = _family(family)
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"family parameter must be a positive integer, got {n!r}")
-    return _V0_CLOSED_FORMS[key][0](n)
+    return _family(family, n)[0](n)
 
 
 def v0_family_knot(family: str, n: int) -> TorusKnot:
     """The torus knot whose V_0 the matching closed form computes."""
-    key = _family(family)
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"family parameter must be a positive integer, got {n!r}")
-    return _V0_CLOSED_FORMS[key][1](n)
+    return _family(family, n)[1](n)
 
 
 def diamond_reduce(expr: KnotExpression) -> TorusKnot | None:

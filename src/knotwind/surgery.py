@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import v_at, v_sequence
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import VSequence
+
+_COEFFICIENT = "surgery coefficient must be a positive integer"
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,10 @@ class SpincLabel:
     i: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"surgery coefficient must be a positive integer, got {self.n!r}")
-        if not isinstance(self.i, int) or not 0 <= self.i < self.n:
-            raise ValidationError(f"spin^c index must satisfy 0 <= i < n, got i={self.i!r}, n={self.n}")
+        n, i = exact_int(self.n, _COEFFICIENT, 1), self.i
+        what = lambda: f"spin^c index must satisfy 0 <= i < n, got i={i!r}, n={n}"
+        if not 0 <= exact_int(i, what) < n:
+            raise ValidationError(what())
 
     @property
     def chern(self) -> int:
@@ -54,9 +56,10 @@ class CorrectionTable:
     entries: dict[int, Fraction]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"surgery coefficient must be a positive integer, got {self.n!r}")
-        entries = {int(i): Fraction(v) for i, v in self.entries.items()}
+        exact_int(self.n, _COEFFICIENT, 1)
+        entries = {exact_int(i, "correction table keys must be integers"):
+                   exact_rational(v, "correction table values must be exact rationals")
+                   for i, v in self.entries.items()}
         if set(entries) != set(range(self.n)):
             raise ValidationError(
                 f"correction table must cover exactly i = 0..{self.n - 1}, got {sorted(entries)}"
@@ -90,8 +93,7 @@ def d_positive_surgery(
 
 def correction_table(knot: KnotExpression | TorusKnot, n: int) -> CorrectionTable:
     """All d-invariants of the n-surgery, built eagerly (symmetry fail-fast)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"surgery coefficient must be a positive integer, got {n!r}")
+    exact_int(n, _COEFFICIENT, 1)
     expr = as_expression(knot)
     seq = v_sequence(expr)
     return CorrectionTable(n, {i: d_positive_surgery(expr, n, i, vseq=seq) for i in range(n)})
@@ -99,7 +101,7 @@ def correction_table(knot: KnotExpression | TorusKnot, n: int) -> CorrectionTabl
 
 def dtw_zero(v0_mirror: int) -> Fraction:
     """Twisted correction term of the 0-surgery on K from V_0(-K): -1/2 + 2 V_0(-K)."""
-    return Fraction(-1, 2) + 2 * v0_mirror
+    return Fraction(-1, 2) + 2 * exact_int(v0_mirror, "V_0 must be a non-negative integer", 0)
 
 
 def d_zero_twisted(knot: KnotExpression | TorusKnot) -> Fraction:
@@ -109,8 +111,7 @@ def d_zero_twisted(knot: KnotExpression | TorusKnot) -> Fraction:
 
 def d_circle_bundle_twisted(g: int) -> Fraction:
     """Twisted correction term of (genus-g surface) x S^1: (-1)^(g+1) / 2."""
-    if not isinstance(g, int) or g < 0:
-        raise ValidationError(f"genus must be a non-negative integer, got {g!r}")
+    exact_int(g, "genus must be a non-negative integer", 0)
     return Fraction((-1) ** (g + 1), 2)
 
 
@@ -128,8 +129,7 @@ def ncf_eval(coeffs: list[int]) -> Fraction:
     if not coeffs:
         raise ValidationError("negative continued fraction needs at least one coefficient")
     for a in coeffs:
-        if not isinstance(a, int) or a < 2:
-            raise ValidationError(f"coefficients must be integers >= 2, got {a!r}")
+        exact_int(a, "coefficients must be integers >= 2", 2)
     value = Fraction(coeffs[-1])
     for a in reversed(coeffs[:-1]):
         value = a - 1 / value
@@ -138,7 +138,7 @@ def ncf_eval(coeffs: list[int]) -> Fraction:
 
 def ncf_expand(value: Fraction | int) -> list[int]:
     """Inverse of `ncf_eval` on rationals > 1 (round-trip identity)."""
-    r = Fraction(value)
+    r = exact_rational(value, "negative continued fractions expand exact rationals")
     if r <= 1:
         raise ValidationError(f"negative continued fractions expand only rationals > 1, got {r}")
     coeffs: list[int] = []
@@ -158,9 +158,8 @@ class SeifertPresentation:
     fibers: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e0, int):
-            raise ValidationError(f"e0 must be an integer, got {self.e0!r}")
-        fibers = tuple(Fraction(r) for r in self.fibers)
+        exact_int(self.e0, "e0 must be an integer")
+        fibers = tuple(exact_rational(r, "fibre invariants must be exact rationals") for r in self.fibers)
         object.__setattr__(self, "fibers", fibers)
         for r in fibers:
             if not 0 < r < 1:
@@ -184,8 +183,7 @@ def kn_seifert(n: int) -> SeifertPresentation:
     [2n+2,2]^- = (4n+3)/2, and its Euler number 2(2/(4n+3) - 1/(2n+1)) is
     negative for every n >= 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"family index must be a positive integer, got {n!r}")
+    exact_int(n, "family index must be a positive integer", 1)
     body = Fraction(2 * n, 2 * n + 1)
     cusp = Fraction(2, 4 * n + 3)
     return SeifertPresentation(-2, (body, body, cusp, cusp))

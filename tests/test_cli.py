@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotwind import (
+    KnotExpression,
     TorusKnot,
     ValidationError,
     cache_load,
@@ -68,6 +72,26 @@ def test_parser_round_trip():
     right = parse_knot_expr("T(4,5)#T(2,3)")
     assert str(left) == str(right)
     assert left == right
+
+
+PARSER_POOL = [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (5, 12)]
+signed_sums = st.lists(
+    st.tuples(st.sampled_from(PARSER_POOL), st.sampled_from((1, -1))), max_size=4
+).map(lambda summands: KnotExpression(tuple((TorusKnot(p, q), s) for (p, q), s in summands)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(signed_sums, st.data())
+def test_parser_round_trips_with_any_spacing_and_case(expr, data):
+    text = str(expr)
+    assert parse_knot_expr(text) == expr
+    tokens = re.findall(r"\d+|\S", text)
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\t", "\n "]),
+                              min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    lower = data.draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens)))
+    spaced = "".join(gap + (token.lower() if low else token)
+                     for gap, token, low in zip(gaps, tokens, lower)) + gaps[-1]
+    assert parse_knot_expr(spaced) == expr
 
 
 def test_mirror_involution():
@@ -332,3 +356,48 @@ def test_cli_version_and_help():
 
     assert main(["--help"]) == 0
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize(
+    "entries, argv, value",
+    [
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["vseq"], [1, 1, 0]),
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["dinv", "--n", "3"],
+         {"0": "-3/2", "1": "-13/6", "2": "-13/6"}),
+        ({"T(2,3)": [1, 0], "T(2,3) # -T(2,5)": [0]}, ["vseq"], [0, 0, 0, 0]),
+    ],
+    ids=["vseq short entry", "dinv short entry", "vseq mixed short entry"],
+)
+def test_cache_entries_without_the_v_sequence_shape_are_recomputed(tmp_path, entries, argv, value):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    expr = list(entries)[1]
+    plain = run_ok(argv + ["--format", "json", "--no-cache", "--", expr])
+    cached = run_ok(argv + ["--format", "json", "--cache", str(path), "--", expr])
+    assert cached == plain
+    assert json.loads(cached)["value"] == value
+    stored = json.loads(path.read_text())["entries"][expr]
+    assert len(stored) == parse_knot_expr(expr).genus + 1 and stored[-1] == 0
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("v_sequence", MemoryError()),
+        ("v_sequence", RecursionError("maximum recursion depth exceeded")),
+        ("cache_load", MemoryError()),
+    ],
+)
+def test_resource_failures_get_an_error_document(tmp_path, monkeypatch, target, error):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    cache = ["--cache", str(tmp_path / "cache.json")]
+    status, out, err = run(["vseq", "T(2,3)", "--format", "json"] + cache)
+    assert status == 1 and err == ""
+    doc = json.loads(out)["error"]
+    assert doc["kind"] == "resource" and doc["message"]
+    status, out, err = run(["vseq", "T(2,3)"] + cache)
+    assert (status, out) == (1, "")
+    assert err == f"error (resource): {doc['message']}\n"
