@@ -75,6 +75,13 @@ def _even_minimum(bound: int) -> tuple[int, int]:
     return 4 * bound - 3, 4 * bound - 2
 
 
+def _v0_pair(expr: KnotExpression) -> tuple[int, int, str, str, tuple[TrailEntry, ...]]:
+    """V_0(K), V_0(-K), the anchors of their routes, and the mixed-sum trail entry (if any)."""
+    mirrored = expr.mirror()
+    mixed = (TrailEntry("validation status", "mixed-orientation sum", A_MIXED),) if expr.is_mixed else ()
+    return v_at(expr, 0), v_at(mirrored, 0), v_route(expr)[1], v_route(mirrored)[1], mixed
+
+
 def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundReport:
     """Winding bound for the knot whose +1-surgery is the 0-surgery on J.
 
@@ -82,9 +89,7 @@ def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundRep
     the induced minimum is the smallest even gw compatible with it.
     """
     expr = as_expression(knot)
-    mirrored = expr.mirror()
-    v0 = v_at(expr, 0)
-    v0m = v_at(mirrored, 0)
+    v0, v0m, anchor, anchor_m, mixed = _v0_pair(expr)
     bound = v0 + v0m
     dtw = dtw_zero(v0m)
     dtw_neg = dtw_zero(v0)
@@ -94,18 +99,17 @@ def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundRep
             f"dtw sum {dtw + dtw_neg + 1} != 2B = {2 * bound}"
         )
     pre, induced = _even_minimum(bound)
-    trail = [
-        TrailEntry("V_0(J)", v0, v_route(expr)[1]),
-        TrailEntry("V_0(-J)", v0m, v_route(mirrored)[1]),
+    trail = (
+        TrailEntry("V_0(J)", v0, anchor),
+        TrailEntry("V_0(-J)", v0m, anchor_m),
         TrailEntry("dtw(S^3_0(J))", dtw, A_DTW_ZERO),
         TrailEntry("dtw(S^3_0(-J))", dtw_neg, A_DTW_ZERO),
         TrailEntry("B = V_0(J) + V_0(-J)", bound, A_WINDING),
         TrailEntry("gw >= (any parity)", pre, A_CEIL_ARITH),
         TrailEntry("gw >= (even)", induced, A_PARITY),
-    ]
-    if expr.is_mixed:
-        trail.append(TrailEntry("validation status", "mixed-orientation sum", A_MIXED))
-    return BoundReport("winding", bound, induced, {"expr": str(expr)}, tuple(trail))
+        *mixed,
+    )
+    return BoundReport("winding", bound, induced, {"expr": str(expr)}, trail)
 
 
 def correction_rhs(table_y: CorrectionTable, table_neg_y: CorrectionTable) -> Fraction:
@@ -198,9 +202,7 @@ def essential_bound(data: EssentialInput) -> Fraction:
 def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
     """Lower bound for the 0-shake genus, computed by two routes that must agree."""
     expr = as_expression(knot)
-    mirrored = expr.mirror()
-    v0 = v_at(expr, 0)
-    v0m = v_at(mirrored, 0)
+    v0, v0m, anchor, anchor_m, mixed = _v0_pair(expr)
     via_v = 2 * max(v0, v0m) - 1
     via_dtw = max(dtw_zero(v0m), dtw_zero(v0)) - Fraction(1, 2)
     if via_dtw != via_v:
@@ -208,16 +210,15 @@ def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
             f"shake-bound routes disagree on {expr}: dtw form {via_dtw}, V form {via_v}"
         )
     value = max(0, via_v)
-    trail = [
-        TrailEntry("V_0(K)", v0, v_route(expr)[1]),
-        TrailEntry("V_0(-K)", v0m, v_route(mirrored)[1]),
+    trail = (
+        TrailEntry("V_0(K)", v0, anchor),
+        TrailEntry("V_0(-K)", v0m, anchor_m),
         TrailEntry("gsh0 >= (dtw form)", via_dtw, A_SHAKE_DTW),
         TrailEntry("gsh0 >= (V form)", via_v, A_SHAKE_V),
         TrailEntry("gsh0 >= (clamped)", value, A_CLAMP),
-    ]
-    if expr.is_mixed:
-        trail.append(TrailEntry("validation status", "mixed-orientation sum", A_MIXED))
-    return BoundReport("shake", value, None, {"expr": str(expr)}, tuple(trail))
+        *mixed,
+    )
+    return BoundReport("shake", value, None, {"expr": str(expr)}, trail)
 
 
 def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundReport:

@@ -53,13 +53,6 @@ def fraction_str(value: Fraction | int) -> str:
     return str(exact_rational(value, "fraction_str needs an exact rational"))  # "num/den" or "num"
 
 
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational number: {text!r} ({exc})") from exc
-
-
 def _plain(value: object) -> object:
     """JSON form of a value: Fractions as "num/den", containers element-wise."""
     if isinstance(value, Fraction):
@@ -244,7 +237,7 @@ def _cmd_ncf_eval(args) -> BoundReport:
 
 
 def _cmd_ncf_expand(args) -> BoundReport:
-    value = parse_fraction(args.value)
+    value = exact_rational(args.value, "ncf expand needs a rational number")
     coeffs = ncf_expand(value)
     trail = (TrailEntry("definition", ",".join(map(str, coeffs)), A_NCF),)
     return BoundReport("ncf", coeffs, None, {"value": value}, trail)

@@ -31,19 +31,22 @@ U-torsion orders and so the tower top are unchanged, and reduced gradings
 M - 2f are no higher than M; hence the window w and the truncation orders
 N, N+1 of the unreduced complex carry over to the reduced one.
 
-Tower search.  A truncated model keeps U^a * g for floors[g] <= a < N; the
-floors must span a subcomplex (on the reduced complex they are all 0, so
-the model is A_s^- / U^N A_s^-).  A generator has at most one basis
-element per Maslov grading, so rows are generator-numbered: bit g over
-grading m is U^a * g, a = (M(g) - m)/2.  The tower top is the maximal
-grading m with a cycle whose U^w-image is not a boundary.  The search
-walks the gradings from the top down, reading each from the complex, and
-stops at the first hit.  At each m it takes D, the boundaries of the
-basis of m, B, the boundaries landing in m - 2w, and V, the span of the
-pairs (de, U^w e) over the basis of m together with (0, B).  Projecting V
-onto its first part has image D and kernel 0 x (U^w(cycles) + B), so a
-surviving cycle exists iff rank V - rank D > rank B.  V_s is minus half
-the top grading.
+Tower search.  `_truncated_tower_top` takes plain values: the complex, its
+floors, the order N and the window w.  Its model keeps U^a * g for
+floors[g] <= a < N and reads each row straight from `arrows_out`.  The
+floors must span a subcomplex; `reduce_sublevel` is the one check of them
+per level (on the reduced complex they are all 0, so the model is
+A_s^- / U^N A_s^-), and `TruncatedComplex` is the validated public value.
+A generator has at most one basis element per Maslov grading, so rows are
+generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
+The tower top is the maximal grading m with a cycle whose U^w-image is not
+a boundary.  The search walks the gradings from the top down, reading each
+from the complex, and stops at the first hit.  At each m it takes D, the
+boundaries of the basis of m, B, the boundaries landing in m - 2w, and V,
+the span of the pairs (de, U^w e) over the basis of m together with
+(0, B).  Projecting V onto its first part has image D and kernel
+0 x (U^w(cycles) + B), so a surviving cycle exists iff
+rank V - rank D > rank B.  V_s is minus half the top grading.
 
 Checks.  Every tower top is recomputed at truncation N+1; disagreement
 raises, never returns.  Complexes of at most `_CROSS_CHECK_GENERATORS`
@@ -72,6 +75,7 @@ A_TOWER = "V_s = -(top grading of the U-tower of A_s^-)/2"
 
 _GRADINGS = "generator gradings must be integers"
 _FLOORS = "floors must be integers"
+_KEYS = "differential keys must be generator numbers"
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,10 @@ class BifilteredComplex:
 
     generators: tuple[tuple[int, int], ...]
     differential: dict[tuple[int, int], int] = field(default_factory=dict)
-    # Adjacency view of the differential, built once: arrows_out[k] = ((l, n), ...).
-    arrows_out: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    # Built once: the adjacency view arrows_out[k] = ((l, n), ...) of the differential,
+    # and max |A(g)|, the total genus for complexes built from knots.
+    arrows_out: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+    alexander_radius: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gens = tuple((exact_int(m, _GRADINGS), exact_int(a, _GRADINGS)) for m, a in self.generators)
@@ -94,7 +98,7 @@ class BifilteredComplex:
         diff: dict[tuple[int, int], int] = {}
         out: list[list[tuple[int, int]]] = [[] for _ in gens]
         for (k, l), n in self.differential.items():
-            if not (0 <= k < count and 0 <= l < count):
+            if not (0 <= exact_int(k, _KEYS) < count and 0 <= exact_int(l, _KEYS) < count):
                 raise ValidationError(f"differential entry ({k},{l}) is out of range")
             if exact_int(n, "U-exponents must be integers") < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
@@ -102,6 +106,7 @@ class BifilteredComplex:
             out[k].append((l, n))
         object.__setattr__(self, "differential", diff)
         object.__setattr__(self, "arrows_out", tuple(map(tuple, out)))
+        object.__setattr__(self, "alexander_radius", max(abs(a) for _, a in gens))
         for (k, l), n in diff.items():
             mk, ak = gens[k]
             ml, al = gens[l]
@@ -129,11 +134,6 @@ class BifilteredComplex:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
-
-    @property
-    def alexander_radius(self) -> int:
-        """max |A(g)|; the total genus for complexes built from knots."""
-        return max(abs(a) for _, a in self.generators)
 
     def tower_top(self) -> int:
         """Top Maslov grading of the U-non-torsion tower of the full complex."""
@@ -178,15 +178,12 @@ class TruncatedComplex:
                 buckets.setdefault(m - 2 * a, []).append((g, a))
         return buckets
 
-    def boundary_of(self, g: int, a: int) -> list[tuple[int, int]]:
-        """Image of U^a * g under the induced differential, as basis elements."""
-        order = self.order
-        return [(l, a + n) for l, n in self.base.arrows_out[g] if a + n < order]
 
-
-def _truncated_tower_top(trunc: TruncatedComplex, window: int) -> int | None:
-    """Maximal grading with a cycle surviving U^window, or None if none found."""
-    gens, floors, order = trunc.base.generators, trunc.floors, trunc.order
+def _truncated_tower_top(
+    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
+) -> int | None:
+    """Maximal grading with a cycle surviving U^window, or None; the floors are not checked."""
+    gens, arrows_out = complex_.generators, complex_.arrows_out
     width = len(gens)
 
     def grading(m: int) -> list[tuple[int, int]]:
@@ -196,7 +193,7 @@ def _truncated_tower_top(trunc: TruncatedComplex, window: int) -> int | None:
 
     def row(g: int, a: int) -> int:
         """Boundary of U^a * g as a mask over generator numbers (targets are distinct)."""
-        return sum(1 << l for l, _ in trunc.boundary_of(g, a))
+        return sum(1 << l for l, n in arrows_out[g] if a + n < order)
 
     top = max(mg - 2 * f for (mg, _), f in zip(gens, floors))
     bottom = min(mg for mg, _ in gens) - 2 * (order - 1)
@@ -282,8 +279,8 @@ def _guarded_tower_top(
     complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
 ) -> int:
     """Tower top computed at orders N and N+1; instability raises, never returns."""
-    first = _truncated_tower_top(TruncatedComplex(complex_, order, floors), window)
-    second = _truncated_tower_top(TruncatedComplex(complex_, order + 1, floors), window)
+    first = _truncated_tower_top(complex_, floors, order, window)
+    second = _truncated_tower_top(complex_, floors, order + 1, window)
     if first != second:
         raise TruncationInstabilityError(
             f"tower top changed between truncation orders {order} and {order + 1} "
@@ -305,7 +302,8 @@ def _stable_tower_top(complex_: BifilteredComplex, floors: tuple[int, ...]) -> i
     """
     order = _truncation_order(complex_)
     window = complex_.alexander_radius + 1
-    top = _guarded_tower_top(reduce_sublevel(complex_, floors), (), order, window)
+    reduced = reduce_sublevel(complex_, floors)  # the one floors check of the level
+    top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, order, window)
     if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
         direct = _guarded_tower_top(complex_, floors, order, window)
         if direct != top:
@@ -329,9 +327,8 @@ def staircase(knot: TorusKnot) -> BifilteredComplex:
     semigroup = semigroup_from_pair(knot.p, knot.q)
     g = knot.genus
     exponents: list[int] = []
-    prev = False
-    for m in range(semigroup.conductor + 1):
-        cur = semigroup.contains(m)
+    prev = 0
+    for m, cur in enumerate(semigroup.membership + b"\x01"):  # the conductor is a member
         if cur != prev:
             exponents.append(m - g)
         prev = cur
@@ -361,7 +358,7 @@ def dualize(complex_: BifilteredComplex) -> BifilteredComplex:
     gens = tuple((-m, -a) for m, a in complex_.generators)
     diff = {(l, k): n for (k, l), n in complex_.differential.items()}
     dual = BifilteredComplex(gens, diff)
-    shift = _stable_tower_top(dual, (0,) * dual.n_generators)
+    shift = dual.tower_top()
     if shift != 0:
         gens = tuple((m - shift, a) for m, a in gens)
         dual = BifilteredComplex(gens, diff)

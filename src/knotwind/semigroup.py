@@ -49,7 +49,7 @@ class NumericalSemigroup:
         self._prefix = tuple(prefix)
 
     def contains(self, m: int) -> bool:
-        if m < 0:
+        if exact_int(m, "semigroup membership needs an integer") < 0:
             return False
         if m >= self.conductor:
             return True

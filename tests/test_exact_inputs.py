@@ -67,6 +67,9 @@ COERCED = {
     "fraction_str float": lambda: fraction_str(0.5),
     "dtw_zero bool": lambda: dtw_zero(True),
     "dtw_zero float": lambda: dtw_zero(0.5),
+    "NumericalSemigroup.contains bool": lambda: SEMIGROUP.contains(True),
+    "NumericalSemigroup.contains float": lambda: SEMIGROUP.contains(1.5),
+    "BifilteredComplex bool keys": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(False, True): 0}),
 }
 
 
@@ -85,6 +88,7 @@ REJECTED = {
     "U-exponent on arrow 0->1 is negative": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): -1}),
     "floors must be non-negative": lambda: K.TruncatedComplex(CHAIN, 3, (-1, 0, 0)),
     "floors must give one non-negative lower U-bound per generator": lambda: reduce_sublevel(CHAIN, (-1, 0, 0)),
+    "floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow": lambda: reduce_sublevel(CHAIN, (0, 0, 2)),
     "spin^c index must satisfy 0 <= i < n, got i=1.5, n=3": lambda: K.SpincLabel(3, 1.5),
     "spin^c index must satisfy 0 <= i < n, got i=-1, n=3": lambda: K.SpincLabel(3, -1),
     "coefficients must be integers >= 2, got 1": lambda: K.ncf_eval([3, 1]),
