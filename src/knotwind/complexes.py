@@ -19,17 +19,32 @@ spanned by U^a * g with a >= f(g) = max(0, A(g) - s).
 
 Reduction.  A_s^- is free on h_g = U^f(g) * g, of Maslov grading
 M(g) - 2f(g); an arrow k->l of exponent n becomes an arrow h_k->h_l of
-exponent f(k) + n - f(l) >= 0.  An arrow of exponent 0 has a unit
-coefficient, so by the cancellation lemma (Gaussian elimination over
-F_2[U]) dropping h_k and h_l and adding U^(a+b) to x->y for every x->l of
-exponent a and k->y of exponent b gives a graded chain homotopy equivalent
-complex; the grading law fixes the exponent of x->y, so adding it is an
-XOR.  `reduce_sublevel` cancels until no unit arrow is left.  A bifiltered
-staircase tensor has no arrow that preserves both filtrations, so this is
-done per level rather than once on the full complex.  The homology, its
-U-torsion orders and so the tower top are unchanged, and reduced gradings
-M - 2f are no higher than M; hence the window w and the truncation orders
-N, N+1 of the unreduced complex carry over to the reduced one.
+exponent f(k) + n - f(l) >= 0.  `reduce_sublevel` cancels every arrow of
+exponent at most the window w = alexander_radius + 1 of the unreduced
+complex, least exponent first.  Cancelling k->l of exponent e, the least
+left, drops h_k and h_l and adds U^(a+b-e) to x->y for every x->l of
+exponent a and k->y of exponent b; the grading law fixes the exponent of
+x->y, so adding it is an XOR.  For e = 0 this is Gaussian elimination over
+F_2[U] and the result is homotopy equivalent; for e > 0 it is not, but
+the tower search cannot tell:
+
+    Lemma.  If e <= w, the tower top of A_s^- / U^N is unchanged by the
+    cancellation, for every N.
+    Sketch.  As a, b >= e, put l' = l + sum U^(b-e) * y over k->y, y != l,
+    and x' = x + U^(a-e) * k over x->l, x != k.  Then dk = U^e * l',
+    dl' = 0 (U^e * dl' = ddk = 0 and the module is free), no dx' has an
+    l' term, and the k term of dx' vanishes because its U^e-multiple is the
+    l' term of ddx' = 0.  So {k, l'} spans a direct summand F_2[U]/U^e
+    whose complement, in the basis x', has the toggled arrows above.  In
+    the summand mod U^N every U^w-image is a boundary: U^(i+w) * l' is
+    d(U^(i+w-e) * k) or 0, and U^i * k is a cycle only if i + e >= N, when
+    U^(i+w) * k = 0.  A cycle of the sum survives iff a component does.
+
+Arrows of exponent above w are kept.  A bifiltered staircase tensor has no
+arrow that preserves both filtrations, so this is done per level rather
+than once on the full complex.  Reduced gradings M - 2f are no higher than
+M; hence the window w and the truncation orders N, N+1 of the unreduced
+complex carry over to the reduced one.
 
 Tower search.  `_truncated_tower_top` takes plain values: the complex, its
 floors, the order N and the window w.  Its model keeps U^a * g for
@@ -37,6 +52,9 @@ floors[g] <= a < N and reads each row straight from `arrows_out`.  The
 floors must span a subcomplex; `reduce_sublevel` is the one check of them
 per level (on the reduced complex they are all 0, so the model is
 A_s^- / U^N A_s^-), and `TruncatedComplex` is the validated public value.
+After the reduction a level is usually one generator with no arrow (all
+805 levels of three vseq-mixed benchmark windows are), so the search stops
+at the first grading it walks.
 A generator has at most one basis element per Maslov grading, so rows are
 generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
 The tower top is the maximal grading m with a cycle whose U^w-image is not
@@ -223,48 +241,62 @@ def _truncation_order(complex_: BifilteredComplex) -> int:
 _CROSS_CHECK_GENERATORS = 12
 
 
-def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> BifilteredComplex:
-    """The subcomplex spanned by U^a * g, a >= floors[g], with its unit arrows cancelled.
+def _window(complex_: BifilteredComplex) -> int:
+    """The window w: a class counts towards the tower when its U^w-image is not a boundary."""
+    return complex_.alexander_radius + 1
 
-    Written in the basis h_g = U^floors[g] * g (module docstring); the
-    survivors carry Alexander grading 0, which satisfies the filtration law
-    on every arrow.  Raises InternalCheckError if nothing survives.
+
+def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> BifilteredComplex:
+    """The subcomplex spanned by U^a * g, a >= floors[g], with its arrows of exponent <= w cancelled.
+
+    Written in the basis h_g = U^floors[g] * g (module docstring), with w the
+    window of `complex_`.  The result is not homotopy equivalent to A_s^-: each
+    cancellation splits off a summand F_2[U]/U^e, e <= w.  It has the same
+    classes surviving U^w at every truncation, so the tower search returns the
+    same value on it at every order.  The survivors carry Alexander grading 0,
+    which satisfies the filtration law on every arrow.  Raises
+    InternalCheckError if nothing survives.
     """
     gens = complex_.generators
     if len(floors) != len(gens) or any(exact_int(f, _FLOORS) < 0 for f in floors):
         raise ValidationError("floors must give one non-negative lower U-bound per generator")
+    window = _window(complex_)
     out: list[dict[int, int]] = [{} for _ in gens]  # out[k][l] = exponent of k->l
     into: list[dict[int, int]] = [{} for _ in gens]  # into[l][k] = the same exponent
-    units: list[tuple[int, int]] = []
+    queued: list[list[tuple[int, int]]] = [[] for _ in range(window + 1)]  # arrows by exponent
     cancelled: set[int] = set()
     for (k, l), n in complex_.differential.items():
         e = floors[k] + n - floors[l]
         if e < 0:
             raise ValidationError("floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow")
         out[k][l] = into[l][k] = e
-        if e == 0:
-            units.append((k, l))
-    while units:
-        k, l = units.pop()
-        if out[k].get(l) != 0:
-            continue  # cancelled or toggled away since it was queued
-        targets = [(y, b) for y, b in out[k].items() if y != l]
-        for x, a in [(x, a) for x, a in into[l].items() if x != k]:
-            ox = out[x]
-            for y, b in targets:
-                if y in ox:
-                    del ox[y], into[y][x]
-                else:
-                    ox[y] = into[y][x] = a + b
-                    if a + b == 0:
-                        units.append((x, y))
-        for g in (k, l):
-            for y in out[g]:
-                del into[y][g]
-            for x in into[g]:
-                del out[x][g]
-            out[g], into[g] = {}, {}
-        cancelled.update((k, l))
+        if e <= window:
+            queued[e].append((k, l))
+    # Drained in rising exponent order, so the arrow k->l taken has the least
+    # exponent e left: every x->l and k->y has exponent a, b >= e, and each
+    # toggled exponent a + b - e >= e lands in this bucket or a later one.
+    for e, bucket in enumerate(queued):
+        while bucket:
+            k, l = bucket.pop()
+            if l not in out[k]:
+                continue  # cancelled or toggled away since it was queued
+            targets = [(y, b - e) for y, b in out[k].items() if y != l]
+            for x, a in [(x, a) for x, a in into[l].items() if x != k]:
+                ox = out[x]
+                for y, b in targets:
+                    if y in ox:
+                        del ox[y], into[y][x]
+                    else:
+                        ox[y] = into[y][x] = a + b
+                        if a + b <= window:
+                            queued[a + b].append((x, y))
+            for g in (k, l):
+                for y in out[g]:
+                    del into[y][g]
+                for x in into[g]:
+                    del out[x][g]
+                out[g], into[g] = {}, {}
+            cancelled.update((k, l))
     alive = [g for g in range(len(gens)) if g not in cancelled]
     if not alive:
         raise InternalCheckError("every generator cancelled: the complex has no U-tower")
@@ -301,7 +333,7 @@ def _stable_tower_top(complex_: BifilteredComplex, floors: tuple[int, ...]) -> i
     complexes are searched unreduced too, and a disagreement raises.
     """
     order = _truncation_order(complex_)
-    window = complex_.alexander_radius + 1
+    window = _window(complex_)
     reduced = reduce_sublevel(complex_, floors)  # the one floors check of the level
     top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, order, window)
     if complex_.n_generators <= _CROSS_CHECK_GENERATORS:

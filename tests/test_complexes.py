@@ -379,6 +379,15 @@ def random_subcomplex_floors(chain, rng, high):
     return tuple(floors)
 
 
+def sublevel_complex(chain, floors):
+    """A_s^- uncancelled, in its basis h_g = U^floors[g] * g: generators (M - 2f, 0),
+    arrow exponents f(k) + n - f(l)."""
+    return BifilteredComplex(
+        tuple((m - 2 * f, 0) for (m, _), f in zip(chain.generators, floors)),
+        {(k, l): floors[k] + n - floors[l] for (k, l), n in chain.differential.items()},
+    )
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 def test_tower_top_matches_brute_force(name):
     from knotwind.complexes import _truncated_tower_top, _truncation_order, reduce_sublevel
@@ -390,18 +399,60 @@ def test_tower_top_matches_brute_force(name):
     for s in range(chain.alexander_radius + 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
         reduced = reduce_sublevel(chain, floors)
-        assert 0 not in reduced.differential.values(), s
+        assert all(e > window for e in reduced.differential.values()), s
         for n in (order, order + 1):
             got = _truncated_tower_top(chain, floors, n, window)
             assert got == brute_tower_top(chain, floors, n, window), (s, n)
             assert got is not None
             assert _truncated_tower_top(reduced, (0,) * reduced.n_generators, n, window) == got, (s, n)
+        # Cancelling arrows of exponent <= window keeps the U^window-surviving
+        # classes of A_s^- / U^n at every order n, not only at N and N+1.
+        sublevel = sublevel_complex(chain, floors)
+        zeros = (0,) * sublevel.n_generators
+        for n in range(1, order + 2):
+            assert _truncated_tower_top(reduced, (0,) * reduced.n_generators, n, window) == (
+                brute_tower_top(sublevel, zeros, n, window)
+            ), (s, n)
     rng = random.Random(name)
     for _ in range(12):
         floors = random_subcomplex_floors(chain, rng, order + 1)
         for n in (order, order + 1):
             got = _truncated_tower_top(chain, floors, n, window)
             assert got == brute_tower_top(chain, floors, n, window), (floors, n)
+
+
+def test_reduction_keeps_arrows_above_the_window():
+    from knotwind.complexes import _truncated_tower_top, reduce_sublevel
+
+    # U^2 * g2 bounds: g2 is U-torsion of order 2, above the window 1, so it
+    # counts as surviving and its arrow must not be cancelled.
+    chain = BifilteredComplex(((0, 0), (1, 0), (4, 0)), {(1, 2): 2})
+    window = chain.alexander_radius + 1
+    assert window == 1
+    reduced = reduce_sublevel(chain, (0, 0, 0))
+    assert reduced.differential == {(1, 2): 2}
+    for n in (3, 4, 5):
+        assert _truncated_tower_top(reduced, (0, 0, 0), n, window) == 4, n
+        assert brute_tower_top(chain, (0, 0, 0), n, window) == 4, n
+
+
+@pytest.mark.parametrize("text", ["T(3,7) # -T(2,11)", "-T(3,7) # -T(2,5)", "T(2,11) # -T(2,11)"])
+def test_reduced_search_matches_sublevel_complex_above_cross_check_size(text):
+    from knotwind.complexes import (
+        _CROSS_CHECK_GENERATORS,
+        _guarded_tower_top,
+        _stable_tower_top,
+        _truncation_order,
+    )
+
+    chain = complex_of(parse_knot_expr(text))
+    assert chain.n_generators > _CROSS_CHECK_GENERATORS
+    order, window = _truncation_order(chain), chain.alexander_radius + 1
+    for s in range(chain.alexander_radius + 1):
+        floors = tuple(max(0, a - s) for _, a in chain.generators)
+        sublevel = sublevel_complex(chain, floors)
+        direct = _guarded_tower_top(sublevel, (0,) * sublevel.n_generators, order, window)
+        assert _stable_tower_top(chain, floors) == direct, s
 
 
 @settings(max_examples=25, deadline=None)
