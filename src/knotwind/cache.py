@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .complexes import v_route, v_sequence
+from .complexes import _servable, v_route, v_sequence
 from .errors import ValidationError
 from .knots import parse_knot_expr
 from .semigroup import v_sequence_torus
@@ -31,25 +31,32 @@ def _warn(message: str) -> None:
 
 
 def _spot_check(entries: dict[str, list[int]]) -> bool:
-    """Recompute the cheapest entry; False means the cache cannot be trusted.
+    """Compare the entries with what they claim; False means the cache cannot be trusted.
 
-    Genus-0 entries (the unknot) cannot disagree, so one is picked only
-    when nothing else is cached.  Every entry on the semigroup route is
-    also compared with its semigroup count, which needs no complex.
+    Every entry on the semigroup route is compared with its semigroup count,
+    which needs no complex.  Of the other entries that `v_sequence` would
+    serve (those with its shape; the rest are recomputed anyway), the
+    cheapest is recomputed; genus-0 entries (the unknot) cannot disagree, so
+    one is picked only when nothing else is left.  With none, nothing is
+    recomputed.
     """
-    exprs = {}
+    others = {}
     for key in entries:
         try:
-            expr = exprs[key] = parse_knot_expr(key)
+            expr = parse_knot_expr(key)
         except ValidationError:
             return False
-        if v_route(expr)[0] == "semigroup count":
-            if list(v_sequence_torus(expr.single_positive_torus_knot()).values) != entries[key]:
-                return False
-    key = min(exprs, key=lambda k: (exprs[k].genus == 0, len(exprs[k].summands), exprs[k].genus))
-    if exprs[key].genus > _SPOT_CHECK_GENUS_LIMIT:
+        if v_route(expr)[0] != "semigroup count":
+            if _servable(expr, entries[key]) is not None:
+                others[key] = expr
+        elif list(v_sequence_torus(expr.single_positive_torus_knot()).values) != entries[key]:
+            return False
+    if not others:
         return True
-    return list(v_sequence(exprs[key]).values) == entries[key]
+    key = min(others, key=lambda k: (others[k].genus == 0, len(others[k].summands), others[k].genus))
+    if others[key].genus > _SPOT_CHECK_GENUS_LIMIT:
+        return True
+    return list(v_sequence(others[key]).values) == entries[key]
 
 
 def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:

@@ -46,15 +46,37 @@ than once on the full complex.  Reduced gradings M - 2f are no higher than
 M; hence the window w and the truncation orders N, N+1 of the unreduced
 complex carry over to the reduced one.
 
+Sweep.  Write G_s(g) = M(g) - 2 f_s(g) for the reduced grading at level s.
+By the grading law an arrow k->l has exponent e_s = (G_s(l) - G_s(k) + 1)/2
+at level s, so one adjacency, without exponents, describes every level.
+
+    Lemma.  An arrow of exponent 0 at levels a < b has exponent 0 at every
+    level of [a, b], and cancelling it is Gaussian elimination at each one.
+    Sketch.  f_s(k) - f_s(l) is monotone in s: it is constant while both
+    floors are positive or both are 0, and moves by one per level towards 0
+    in between.  So e_s = n + f_s(k) - f_s(l) is monotone, and as e_s >= 0,
+    e_a = e_b = 0 gives e_s = 0 throughout [a, b].  At each of these levels
+    the cancellation is Gaussian elimination over F_2[U], and its toggles
+    x->y depend only on which arrows exist: they are one XOR of the shared
+    adjacency.  Each level reads the exponents, toggled arrows included,
+    from its own gradings, so one cancellation serves all of them.
+
+`_reduced_sublevels` sweeps the levels of a V-sequence this way: an
+interval cancels every arrow of exponent 0 at both ends, toggled ones
+included, then splits in two; an arrow of exponent 0 at one end only is
+left to the halves.  A single level cancels what is left up to the window,
+least exponent first, through the same `_cancel` step as `reduce_sublevel`.
+Level floors always span a subcomplex (f_s(l) <= f_s(k) + n by the
+filtration law), so the sweep checks none.
+
 Tower search.  `_truncated_tower_top` takes plain values: the complex, its
 floors, the order N and the window w.  Its model keeps U^a * g for
 floors[g] <= a < N and reads each row straight from `arrows_out`.  The
-floors must span a subcomplex; `reduce_sublevel` is the one check of them
-per level (on the reduced complex they are all 0, so the model is
-A_s^- / U^N A_s^-), and `TruncatedComplex` is the validated public value.
-After the reduction a level is usually one generator with no arrow (all
-805 levels of three vseq-mixed benchmark windows are), so the search stops
-at the first grading it walks.
+floors must span a subcomplex; `reduce_sublevel` checks them (on the
+reduced complex they are all 0, so the model is A_s^- / U^N A_s^-), and
+`TruncatedComplex` is the validated public value.  After the reduction a
+level is usually one generator with no arrow, so the search stops at the
+first grading it walks.
 A generator has at most one basis element per Maslov grading, so rows are
 generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
 The tower top is the maximal grading m with a cycle whose U^w-image is not
@@ -80,7 +102,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError, TruncationInstabilityError, ValidationError, exact_int
 from .gf2 import BitSpace
@@ -154,8 +176,11 @@ class BifilteredComplex:
         return len(self.generators)
 
     def tower_top(self) -> int:
-        """Top Maslov grading of the U-non-torsion tower of the full complex."""
-        return _stable_tower_top(self, (0,) * self.n_generators)
+        """Top Maslov grading of the U-non-torsion tower of the full complex.
+
+        Searched as the one level s = alexander_radius, where every floor is 0.
+        """
+        return _tower_tops(self, self.alexander_radius, self.alexander_radius)[0]
 
     def validate(self) -> None:
         """Re-run all construction checks plus the tower normalisation."""
@@ -246,6 +271,78 @@ def _window(complex_: BifilteredComplex) -> int:
     return complex_.alexander_radius + 1
 
 
+def _arrows(complex_: BifilteredComplex) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """The adjacency of `complex_` without exponents: out[k] and into[l] for every generator."""
+    out: dict[int, set[int]] = {g: set() for g in range(complex_.n_generators)}
+    into: dict[int, set[int]] = {g: set() for g in range(complex_.n_generators)}
+    for k, l in complex_.differential:
+        out[k].add(l)
+        into[l].add(k)
+    return out, into
+
+
+def _cancel(
+    out: dict[int, set[int]], into: dict[int, set[int]], low: dict[int, int], high: dict[int, int], limit: int
+) -> None:
+    """Cancel, least exponent first, every arrow of exponent at most `limit` at both levels.
+
+    `low` and `high` are the reduced gradings G_a, G_b of the two ends of an
+    interval of levels (the same mapping for one level).  The exponent of k->l at
+    level s is (G_s[l] - G_s[k] + 1) / 2, monotone in s, so its maximum over
+    the interval is the larger of its values at the two ends.
+    """
+
+    def exponent(k: int, l: int) -> int:
+        d, e = low[l] - low[k], high[l] - high[k]
+        return (d if d > e else e) + 1 >> 1
+
+    queued: list[list[tuple[int, int]]] = [[] for _ in range(limit + 1)]  # arrows by exponent
+    for k, targets in out.items():
+        for l in targets:
+            e = exponent(k, l)
+            if e <= limit:
+                queued[e].append((k, l))
+    # Drained in rising exponent order, so the arrow k->l taken has the least
+    # exponent e left: every x->l and k->y has exponent a, b >= e, and each
+    # toggled exponent a + b - e >= e lands in this bucket or a later one.
+    for bucket in queued:
+        while bucket:
+            k, l = bucket.pop()
+            if l not in out.get(k, ()):
+                continue  # cancelled or toggled away since it was queued
+            targets = [y for y in out[k] if y != l]
+            for x in into[l]:
+                if x == k:
+                    continue
+                ox = out[x]
+                for y in targets:
+                    if y in ox:
+                        ox.remove(y)
+                        into[y].remove(x)
+                    else:
+                        ox.add(y)
+                        into[y].add(x)
+                        e = exponent(x, y)
+                        if e <= limit:
+                            queued[e].append((x, y))
+            for g in (k, l):
+                for y in out.pop(g):
+                    into[y].discard(g)
+                for x in into.pop(g):
+                    out[x].discard(g)
+
+
+def _survivors(out: dict[int, set[int]], gradings: dict[int, int]) -> BifilteredComplex:
+    """The generators left in `out`, at `gradings` and Alexander grading 0, with their arrows."""
+    if not out:
+        raise InternalCheckError("every generator cancelled: the complex has no U-tower")
+    number = {g: j for j, g in enumerate(out)}
+    return BifilteredComplex(
+        tuple((gradings[g], 0) for g in out),
+        {(number[k], number[l]): gradings[l] - gradings[k] + 1 >> 1 for k in out for l in out[k]},
+    )
+
+
 def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> BifilteredComplex:
     """The subcomplex spanned by U^a * g, a >= floors[g], with its arrows of exponent <= w cancelled.
 
@@ -260,51 +357,45 @@ def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> Bif
     gens = complex_.generators
     if len(floors) != len(gens) or any(exact_int(f, _FLOORS) < 0 for f in floors):
         raise ValidationError("floors must give one non-negative lower U-bound per generator")
+    if any(floors[l] > floors[k] + n for (k, l), n in complex_.differential.items()):
+        raise ValidationError("floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow")
+    gradings = {g: m - 2 * f for g, ((m, _), f) in enumerate(zip(gens, floors))}
+    out, into = _arrows(complex_)
+    _cancel(out, into, gradings, gradings, _window(complex_))
+    return _survivors(out, gradings)
+
+
+def _reduced_sublevels(
+    complex_: BifilteredComplex, first: int, last: int
+) -> Iterator[tuple[int, BifilteredComplex]]:
+    """Yield (s, reduced A_s^-) for s = first..last, in order, from one interval sweep.
+
+    An interval [a, b] cancels the arrows of exponent 0 at both a and b, hence
+    on all of it (module docstring), then splits in two; the left half works
+    on a copy.  A single level then cancels what is left up to the window,
+    exactly as `reduce_sublevel` does.  Floors of levels always span a
+    subcomplex, so none is checked.
+    """
+    gens = complex_.generators
     window = _window(complex_)
-    out: list[dict[int, int]] = [{} for _ in gens]  # out[k][l] = exponent of k->l
-    into: list[dict[int, int]] = [{} for _ in gens]  # into[l][k] = the same exponent
-    queued: list[list[tuple[int, int]]] = [[] for _ in range(window + 1)]  # arrows by exponent
-    cancelled: set[int] = set()
-    for (k, l), n in complex_.differential.items():
-        e = floors[k] + n - floors[l]
-        if e < 0:
-            raise ValidationError("floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow")
-        out[k][l] = into[l][k] = e
-        if e <= window:
-            queued[e].append((k, l))
-    # Drained in rising exponent order, so the arrow k->l taken has the least
-    # exponent e left: every x->l and k->y has exponent a, b >= e, and each
-    # toggled exponent a + b - e >= e lands in this bucket or a later one.
-    for e, bucket in enumerate(queued):
-        while bucket:
-            k, l = bucket.pop()
-            if l not in out[k]:
-                continue  # cancelled or toggled away since it was queued
-            targets = [(y, b - e) for y, b in out[k].items() if y != l]
-            for x, a in [(x, a) for x, a in into[l].items() if x != k]:
-                ox = out[x]
-                for y, b in targets:
-                    if y in ox:
-                        del ox[y], into[y][x]
-                    else:
-                        ox[y] = into[y][x] = a + b
-                        if a + b <= window:
-                            queued[a + b].append((x, y))
-            for g in (k, l):
-                for y in out[g]:
-                    del into[y][g]
-                for x in into[g]:
-                    del out[x][g]
-                out[g], into[g] = {}, {}
-            cancelled.update((k, l))
-    alive = [g for g in range(len(gens)) if g not in cancelled]
-    if not alive:
-        raise InternalCheckError("every generator cancelled: the complex has no U-tower")
-    number = {g: j for j, g in enumerate(alive)}
-    return BifilteredComplex(
-        tuple((gens[g][0] - 2 * floors[g], 0) for g in alive),
-        {(number[k], number[l]): e for k in alive for l, e in out[k].items()},
-    )
+
+    def gradings(s: int, alive: Iterable[int]) -> dict[int, int]:
+        """Reduced gradings G_s(g) = M(g) - 2 max(0, A(g) - s) of the generators left."""
+        return {g: m - 2 * (a - s) if a > s else m for g in alive for m, a in (gens[g],)}
+
+    out, into = _arrows(complex_)
+    stack = [(first, last, out, into)]
+    while stack:
+        a, b, out, into = stack.pop()
+        low = gradings(a, out)
+        if a < b:
+            _cancel(out, into, low, gradings(b, out), 0)
+            mid = (a + b) // 2
+            stack.append((mid + 1, b, out, into))
+            stack.append((a, mid, {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()}))
+        else:
+            _cancel(out, into, low, low, window)
+            yield a, _survivors(out, low)
 
 
 def _guarded_tower_top(
@@ -326,23 +417,27 @@ def _guarded_tower_top(
     return first
 
 
-def _stable_tower_top(complex_: BifilteredComplex, floors: tuple[int, ...]) -> int:
-    """Tower top of the sublevel `floors`, searched on its reduced complex.
+def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
+    """Tower tops of the sublevels A_s^-, s = first..last, each searched on its reduced complex.
 
     The window and the orders N, N+1 are those of the unreduced complex; small
-    complexes are searched unreduced too, and a disagreement raises.
+    complexes are searched unreduced too, level by level, and a disagreement
+    raises.
     """
     order = _truncation_order(complex_)
     window = _window(complex_)
-    reduced = reduce_sublevel(complex_, floors)  # the one floors check of the level
-    top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, order, window)
-    if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
-        direct = _guarded_tower_top(complex_, floors, order, window)
-        if direct != top:
-            raise InternalCheckError(
-                f"reduced and unreduced tower tops disagree: {top} vs {direct}"
-            )
-    return top
+    tops = []
+    for s, reduced in _reduced_sublevels(complex_, first, last):
+        top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, order, window)
+        if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
+            floors = tuple(max(0, a - s) for _, a in complex_.generators)
+            direct = _guarded_tower_top(complex_, floors, order, window)
+            if direct != top:
+                raise InternalCheckError(
+                    f"reduced and unreduced tower tops disagree at level {s}: {top} vs {direct}"
+                )
+        tops.append(top)
+    return tops
 
 
 def staircase(knot: TorusKnot) -> BifilteredComplex:
@@ -425,16 +520,22 @@ def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
     return reduce(tensor, parts)
 
 
+def _v_values(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
+    """V_first..V_last: minus half the tower tops of one sweep, each checked for parity."""
+    values = []
+    for s, top in zip(range(first, last + 1), _tower_tops(complex_, first, last)):
+        if top > 0 or top % 2 != 0:
+            raise InternalCheckError(
+                f"sublevel tower top {top} at level {s} is not an even non-positive grading"
+            )
+        values.append(-top // 2)
+    return values
+
+
 def v_invariant(complex_: BifilteredComplex, s: int) -> int:
     """V_s: minus half the tower-top grading of the sublevel subcomplex A_s^-."""
     exact_int(s, "V-invariant level must be a non-negative integer", 0)
-    floors = tuple(max(0, a - s) for _, a in complex_.generators)
-    top = _stable_tower_top(complex_, floors)
-    if top > 0 or top % 2 != 0:
-        raise InternalCheckError(
-            f"sublevel tower top {top} at level {s} is not an even non-positive grading"
-        )
-    return -top // 2
+    return _v_values(complex_, s, s)[0]
 
 
 # V-sequence memo of the current context (canonical expression string ->
@@ -457,19 +558,22 @@ def v_memo(entries: Mapping[str, list[int]]) -> Iterator[dict[str, list[int]]]:
         _memo.reset(token)
 
 
-def _recall(expr: KnotExpression) -> VSequence | None:
-    """The memo entry of `expr` if it has the shape `v_sequence` returns: V_0..V_g
+def _servable(expr: KnotExpression, values: list[int]) -> VSequence | None:
+    """`values` if they have the shape `v_sequence` returns for `expr`: V_0..V_g
     ending in V_g = 0 for genus g, nothing for the unknot.  Else None (recompute)."""
-    memo = _memo.get()
-    values = None if memo is None else memo.get(str(expr))
-    if values is None:
-        return None
     try:
         seq = VSequence(tuple(values))
     except (ValidationError, TypeError):
         return None
     length = expr.genus + 1 if expr.summands else 0
     return seq if len(seq) == length and not any(seq.values[-1:]) else None
+
+
+def _recall(expr: KnotExpression) -> VSequence | None:
+    """The memo entry of `expr` if it is servable, else None (recompute)."""
+    memo = _memo.get()
+    values = None if memo is None else memo.get(str(expr))
+    return None if values is None else _servable(expr, values)
 
 
 def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
@@ -486,7 +590,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     """V-sequence of an expression.
 
     Single positive torus knots take the semigroup fast path; everything else
-    goes through the chain complex, one sublevel homology per index.  Where
+    goes through the chain complex, every sublevel from one sweep.  Where
     both paths apply they are compared (small genus).
     """
     expr = as_expression(expr)
@@ -497,9 +601,8 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     if knot is not None:
         seq = v_sequence_torus(knot)
         if knot.genus <= 12:
-            chain = complex_of(expr)
-            for s in range(knot.genus + 1):
-                hom = v_invariant(chain, s)
+            homology = _v_values(complex_of(expr), 0, knot.genus)
+            for s, hom in enumerate(homology):
                 if hom != seq.at(s):
                     raise InternalCheckError(
                         f"path disagreement on {knot} at level {s}: "
@@ -508,8 +611,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     elif expr.is_unknot:
         seq = VSequence(())
     else:
-        chain = complex_of(expr)
-        values = tuple(v_invariant(chain, s) for s in range(expr.genus + 1))
+        values = tuple(_v_values(complex_of(expr), 0, expr.genus))
         try:
             seq = VSequence(values)
         except ValidationError as exc:

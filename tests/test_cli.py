@@ -80,7 +80,7 @@ signed_sums = st.lists(
 ).map(lambda summands: KnotExpression(tuple((TorusKnot(p, q), s) for (p, q), s in summands)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples)  # cheap: twice the profile's examples
 @given(signed_sums, st.data())
 def test_parser_round_trips_with_any_spacing_and_case(expr, data):
     text = str(expr)
@@ -295,6 +295,29 @@ def test_cache_spot_check_compares_every_torus_knot(tmp_path):
         out = run_ok(["vseq", "T(2,5)", "--format", "json", "--cache", str(path)])
     assert json.loads(out)["value"] == [1, 1, 0]
     assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
+
+
+def test_cache_spot_check_recomputes_an_entry_off_the_semigroup_route(tmp_path):
+    path = tmp_path / "cache.json"
+    stale = {"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [2, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    with pytest.warns(RuntimeWarning, match="stale"):
+        out = run_ok(["vseq", "T(2,3) # T(2,3)", "--cache", str(path)])
+    assert "value: 1 1 0" in out.splitlines()
+    assert json.loads(path.read_text())["entries"] == {"T(2,3) # T(2,3)": [1, 1, 0]}
+
+
+def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):
+    from knotwind import cache
+
+    def recompute(expr):
+        raise AssertionError(f"{expr} was recomputed")
+
+    monkeypatch.setattr(cache, "v_sequence", recompute)
+    path = tmp_path / "cache.json"
+    entries = {"T(2,3)": [1, 0], "T(2,5)": [1, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    assert cache_load(path) == entries
 
 
 def test_cli_cached_and_uncached_outputs_identical(tmp_path):

@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from knotwind import (
@@ -217,7 +217,6 @@ small_sums = st.lists(
 ).filter(lambda expr: expr.genus <= 8)
 
 
-@settings(max_examples=25, deadline=None)
 @given(small_sums)
 def test_v_at_agrees_with_v_sequence_on_every_route(expr):
     seq = v_sequence(expr)
@@ -438,33 +437,77 @@ def test_reduction_keeps_arrows_above_the_window():
 
 @pytest.mark.parametrize("text", ["T(3,7) # -T(2,11)", "-T(3,7) # -T(2,5)", "T(2,11) # -T(2,11)"])
 def test_reduced_search_matches_sublevel_complex_above_cross_check_size(text):
-    from knotwind.complexes import (
-        _CROSS_CHECK_GENERATORS,
-        _guarded_tower_top,
-        _stable_tower_top,
-        _truncation_order,
-    )
+    from knotwind.complexes import _CROSS_CHECK_GENERATORS, _guarded_tower_top, _tower_tops, _truncation_order
 
     chain = complex_of(parse_knot_expr(text))
     assert chain.n_generators > _CROSS_CHECK_GENERATORS
     order, window = _truncation_order(chain), chain.alexander_radius + 1
+    swept = _tower_tops(chain, 0, chain.alexander_radius)
     for s in range(chain.alexander_radius + 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
         sublevel = sublevel_complex(chain, floors)
         direct = _guarded_tower_top(sublevel, (0,) * sublevel.n_generators, order, window)
-        assert _stable_tower_top(chain, floors) == direct, s
+        assert swept[s] == direct, s
 
 
-@settings(max_examples=25, deadline=None)
 @given(small_sums)
 def test_reduced_and_unreduced_tower_tops_agree(expr):
-    from knotwind.complexes import _guarded_tower_top, _stable_tower_top, _truncation_order
+    from knotwind.complexes import _guarded_tower_top, _tower_tops, _truncation_order
 
     chain = complex_of(expr)
     order, window = _truncation_order(chain), chain.alexander_radius + 1
+    swept = _tower_tops(chain, 0, expr.genus)
     for s in range(expr.genus + 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
-        assert _stable_tower_top(chain, floors) == _guarded_tower_top(chain, floors, order, window), s
+        assert swept[s] == _guarded_tower_top(chain, floors, order, window), s
+
+
+@given(small_sums)
+def test_sweep_matches_per_level_reduction(expr):
+    from knotwind.complexes import _guarded_tower_top, _reduced_sublevels, _truncation_order, reduce_sublevel
+
+    chain = complex_of(expr)
+    order, window = _truncation_order(chain), chain.alexander_radius + 1
+    levels = range(expr.genus + 2)  # the last level has every floor 0
+    swept = list(_reduced_sublevels(chain, levels[0], levels[-1]))
+    assert [s for s, _ in swept] == list(levels)
+    for s, reduced in swept:
+        assert all(e > window for e in reduced.differential.values()), s
+        floors = tuple(max(0, a - s) for _, a in chain.generators)
+        per_level = reduce_sublevel(chain, floors)
+        for n in (order, order + 1):
+            top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, n, window)
+            assert top == _guarded_tower_top(per_level, (0,) * per_level.n_generators, n, window), (s, n)
+            assert top == _guarded_tower_top(chain, floors, n, window), (s, n)
+
+
+def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
+    from knotwind.complexes import _arrows, _cancel, _reduced_sublevels, reduce_sublevel
+
+    # 0->1 is horizontal (n = 1, A rises by 1): exponent 0 at level 0, 1 at level 1.
+    # 2->3 is vertical (n = 0, A falls by 1): exponent 1 at level 0, 0 at level 1.
+    chain = BifilteredComplex(((-1, 0), (0, 1), (0, 1), (-1, 0), (0, 0)), {(0, 1): 1, (2, 3): 0})
+
+    def gradings(s):
+        return {g: m - 2 * max(0, a - s) for g, (m, a) in enumerate(chain.generators)}
+
+    def exponents(s):
+        return [(gradings(s)[l] - gradings(s)[k] + 1) // 2 for k, l in chain.differential]
+
+    assert exponents(0) == [0, 1] and exponents(1) == [1, 0]
+    out, into = _arrows(chain)
+    _cancel(out, into, gradings(0), gradings(1), 0)
+    assert out == {0: {1}, 1: set(), 2: {3}, 3: set(), 4: set()}
+    assert into == {0: set(), 1: {0}, 2: set(), 3: {2}, 4: set()}
+    for s, cancelled in ((0, {0, 1}), (1, {2, 3})):
+        out, into = _arrows(chain)
+        _cancel(out, into, gradings(s), gradings(s), 0)
+        assert set(out) == {0, 1, 2, 3, 4} - cancelled, s
+    # Each level then cancels its own exponent-0 arrow; the window (2) takes the other.
+    for s, reduced in _reduced_sublevels(chain, 0, 1):
+        floors = tuple(max(0, a - s) for _, a in chain.generators)
+        assert reduced == reduce_sublevel(chain, floors), s
+        assert reduced.generators == ((0, 0),), s
 
 
 @pytest.mark.parametrize(
