@@ -1,8 +1,9 @@
 """Exact correction-term invariants of surgeries on sums of torus knots.
 
-Two independent computation paths back every V-invariant: numerical
-semigroup counting for torus knots, and sublevel homology of staircase
-chain complexes over F_2[U] for everything else.  On top of those sit the
+V-invariants come from numerical semigroup counting for positive torus
+knots and from sublevel homology of staircase chain complexes over F_2[U]
+for everything else; the two are compared on positive torus knots of genus
+at most 12, and README lists the other checks.  On top of those sit the
 d-invariants of positive surgeries, the twisted correction terms of
 0-surgeries and circle bundles, and the lower-bound combinators for the
 geometric winding number and the 0-shake genus.

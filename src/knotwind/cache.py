@@ -1,9 +1,10 @@
 """Persistent V-sequence cache: a JSON file keyed by canonical expression strings.
 
 The file holds {"tool_version": ..., "entries": {expr: [V_0, V_1, ...]}}.
-Corrupt files and version mismatches are ignored with a warning, never
-fatal; writes go through a temporary file and an atomic rename, so
-concurrent writers cannot corrupt the file (last writer wins).
+Corrupt files are ignored with a warning and files from another tool
+version silently (the next store rewrites them), never fatally; writes go
+through a temporary file and an atomic rename, so concurrent writers
+cannot corrupt the file (last writer wins).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ construction time:
     filtration:    A(g_l) - n <= A(g_k) on every entry.
 
 The homological normalisation (the U-non-torsion tower of the full complex
-tops out at Maslov grading 0) is available as `tower_top` and is arranged by
-construction in `staircase` and `dualize`.
+tops out at Maslov grading 0) is available as `tower_top`.  `staircase`
+arranges it by construction, `dualize` keeps it (dual lemma below), and
+`tensor` adds tower tops.
 
 V-invariants are read off sublevel subcomplexes: for s >= 0, A_s^- is
 spanned by U^a * g with a >= f(g) = max(0, A(g) - s).
@@ -65,18 +66,59 @@ at level s, so one adjacency, without exponents, describes every level.
 interval cancels every arrow of exponent 0 at both ends, toggled ones
 included, then splits in two; an arrow of exponent 0 at one end only is
 left to the halves.  A single level cancels what is left up to the window,
-least exponent first, through the same `_cancel` step as `reduce_sublevel`.
-Level floors always span a subcomplex (f_s(l) <= f_s(k) + n by the
-filtration law), so the sweep checks none.
+least exponent first, through the same `_cancel` step as `reduce_sublevel`,
+and yields its survivors with their gradings G_s.  Level floors always span
+a subcomplex (f_s(l) <= f_s(k) + n by the filtration law), so the sweep
+checks none.
 
-Tower search.  `_truncated_tower_top` takes plain values: the complex, its
-floors, the order N and the window w.  Its model keeps U^a * g for
-floors[g] <= a < N and reads each row straight from `arrows_out`.  The
-floors must span a subcomplex; `reduce_sublevel` checks them (on the
-reduced complex they are all 0, so the model is A_s^- / U^N A_s^-), and
-`TruncatedComplex` is the validated public value.  After the reduction a
-level is usually one generator with no arrow, so the search stops at the
-first grading it walks.
+Reading a level.  The tower top of A_s^- is read off the reduction:
+
+    Lemma.  If one generator h survives the reduction of A_s^-, the U-tower
+    of A_s^- is F_2[U] * h, and its top is G_s(h).
+    Sketch.  Each cancellation splits off a direct summand {k, l'} with
+    dk = U^e * l' through a basis change that keeps every grading (the
+    Reduction sketch), and the complement has the toggled arrows.  So
+    A_s^- is the sum of the split pairs, each of homology F_2[U]/U^e, and
+    of F_2[U] * h, where dh = 0: an arrow h->h would need 2n = 1 by the
+    grading law.  The tower top is G_s(h) exactly, with no truncation.
+    By the Reduction lemma the search of A_s^- / U^N finds what it finds
+    on h alone, a cycle whose U^w-image is neither 0 nor a boundary once
+    N > w; its orders N = max(0, M_max)//2 + 2r + 2 all exceed w = r + 1
+    (r = alexander_radius), so at N and N+1 it could only return G_s(h).
+
+No survivor means A_s^- has no tower.  Several mean a second tower or an
+arrow above w left over, whose summand F_2[U]/U^e, e > w, the truncated
+search would count as a tower: on generators (0,0), (1,0), (4,0) with the
+one arrow g1->g2 of exponent 2 it tops out at 4, though the tower sits at
+0.  Either raises `InternalCheckError`; on the complexes of knots, every
+level measured so far has one survivor.
+
+Duals.  `dualize` negates both gradings and transposes the differential:
+the dual basis of Hom(C, F_2[U]) with d* = (phi -> phi o d).  The
+filtration law is symmetric under (k, l, A) -> (l, k, -A), so the laws
+hold on the dual.
+
+    Lemma.  The tower top of the dual is minus the tower top of C, for a
+    complex C with one tower.
+    Sketch.  Cancelling every arrow of C, least exponent first and with no
+    window, splits C through a grading-preserving basis change P into pairs
+    dk = U^e * l' and arrow-free generators, the towers; C has one, h, at
+    grading t.  In the dual basis of P (the inverse transpose) d* is the
+    transpose of this split form: pairs d l'* = U^e * k*, each still
+    F_2[U]/U^e, and the arrow-free h* at grading -t.  So the dual's tower is
+    F_2[U] * h*, with top -t.
+
+So the dual of a normalised complex is normalised and `dualize` searches
+nothing: the complex-level form of d(-Y) = -d(Y) (Ozsvath-Szabo,
+"Absolutely graded Floer homologies...", 2003).
+
+Tower search.  `_truncated_tower_top` is the independent search behind the
+small-complex cross-check; `TruncatedComplex` is the validated public value
+of its model.  It takes plain values: the complex, its floors, the order N
+and the window w.  Its model keeps U^a * g for floors[g] <= a < N and reads
+each row straight from `arrows_out`.  The floors must span a subcomplex;
+level floors always do, and `reduce_sublevel` checks the ones it is given
+(on its result they are all 0, so the model is A_s^- / U^N A_s^-).
 A generator has at most one basis element per Maslov grading, so rows are
 generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
 The tower top is the maximal grading m with a cycle whose U^w-image is not
@@ -88,12 +130,18 @@ the span of the pairs (de, U^w e) over the basis of m together with
 0 x (U^w(cycles) + B), so a surviving cycle exists iff
 rank V - rank D > rank B.  V_s is minus half the top grading.
 
-Checks.  Every tower top is recomputed at truncation N+1; disagreement
-raises, never returns.  Complexes of at most `_CROSS_CHECK_GENERATORS`
-generators are also searched unreduced, at the same orders and through
-the same guards, and the two tops must agree.  The two models truncate
-differently: for T(2,9) at s = 0 and order 7 the reduced model already
-gives -4 where the unreduced one finds no surviving class.
+Checks.  Every level is read off its one survivor, and a level that
+reduces to zero or several generators raises.  Complexes of at most
+`_CROSS_CHECK_GENERATORS` generators are also searched unreduced, at the
+truncation orders N and N+1: the two searches must agree with each other
+and with the read, and a disagreement raises, never returns.  Only the
+search needs a second order, since the read is exact while a truncated
+model can miss the tower: for T(2,9) at s = 0 the read gives -4, and the
+unreduced search at order 7 finds no surviving class.  Every top must be
+an even non-positive grading.  On the homology route `v_sequence` checks
+V_g = 0 for the genus g: at level g every floor is 0, so V_g is minus half
+the tower top of the whole complex, and this one check covers the
+normalisation of every staircase, dual and tensor in the sum.
 """
 
 from __future__ import annotations
@@ -178,7 +226,9 @@ class BifilteredComplex:
     def tower_top(self) -> int:
         """Top Maslov grading of the U-non-torsion tower of the full complex.
 
-        Searched as the one level s = alexander_radius, where every floor is 0.
+        Read off the one level s = alexander_radius, where every floor is 0:
+        the grading of the one generator its reduction leaves.  Raises
+        InternalCheckError if zero or several generators survive.
         """
         return _tower_tops(self, self.alexander_radius, self.alexander_radius)[0]
 
@@ -332,17 +382,6 @@ def _cancel(
                     out[x].discard(g)
 
 
-def _survivors(out: dict[int, set[int]], gradings: dict[int, int]) -> BifilteredComplex:
-    """The generators left in `out`, at `gradings` and Alexander grading 0, with their arrows."""
-    if not out:
-        raise InternalCheckError("every generator cancelled: the complex has no U-tower")
-    number = {g: j for j, g in enumerate(out)}
-    return BifilteredComplex(
-        tuple((gradings[g], 0) for g in out),
-        {(number[k], number[l]): gradings[l] - gradings[k] + 1 >> 1 for k in out for l in out[k]},
-    )
-
-
 def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> BifilteredComplex:
     """The subcomplex spanned by U^a * g, a >= floors[g], with its arrows of exponent <= w cancelled.
 
@@ -362,13 +401,19 @@ def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> Bif
     gradings = {g: m - 2 * f for g, ((m, _), f) in enumerate(zip(gens, floors))}
     out, into = _arrows(complex_)
     _cancel(out, into, gradings, gradings, _window(complex_))
-    return _survivors(out, gradings)
+    if not out:
+        raise InternalCheckError("every generator cancelled: the complex has no U-tower")
+    number = {g: j for j, g in enumerate(out)}
+    return BifilteredComplex(
+        tuple((gradings[g], 0) for g in out),
+        {(number[k], number[l]): gradings[l] - gradings[k] + 1 >> 1 for k in out for l in out[k]},
+    )
 
 
 def _reduced_sublevels(
     complex_: BifilteredComplex, first: int, last: int
-) -> Iterator[tuple[int, BifilteredComplex]]:
-    """Yield (s, reduced A_s^-) for s = first..last, in order, from one interval sweep.
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield (s, {g: G_s(g) for each survivor g of A_s^-}), s = first..last in order, from one sweep.
 
     An interval [a, b] cancels the arrows of exponent 0 at both a and b, hence
     on all of it (module docstring), then splits in two; the left half works
@@ -395,7 +440,7 @@ def _reduced_sublevels(
             stack.append((a, mid, {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()}))
         else:
             _cancel(out, into, low, low, window)
-            yield a, _survivors(out, low)
+            yield a, {g: low[g] for g in out}
 
 
 def _guarded_tower_top(
@@ -418,17 +463,21 @@ def _guarded_tower_top(
 
 
 def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
-    """Tower tops of the sublevels A_s^-, s = first..last, each searched on its reduced complex.
+    """Tower tops of the sublevels A_s^-, s = first..last: each the grading G_s of its one survivor.
 
-    The window and the orders N, N+1 are those of the unreduced complex; small
-    complexes are searched unreduced too, level by level, and a disagreement
-    raises.
+    A level that reduces to zero or several generators raises.  Small
+    complexes are also searched unreduced, level by level, at the orders N
+    and N+1 and with the window of the complex, and a disagreement raises.
     """
-    order = _truncation_order(complex_)
-    window = _window(complex_)
+    order, window = _truncation_order(complex_), _window(complex_)
     tops = []
-    for s, reduced in _reduced_sublevels(complex_, first, last):
-        top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, order, window)
+    for s, survivors in _reduced_sublevels(complex_, first, last):
+        if len(survivors) != 1:
+            raise InternalCheckError(
+                f"{len(survivors)} generators survive the reduction of level {s}, not one: "
+                "its tower top cannot be read off"
+            )
+        (top,) = survivors.values()
         if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
             floors = tuple(max(0, a - s) for _, a in complex_.generators)
             direct = _guarded_tower_top(complex_, floors, order, window)
@@ -481,15 +530,15 @@ def staircase(knot: TorusKnot) -> BifilteredComplex:
 
 
 def dualize(complex_: BifilteredComplex) -> BifilteredComplex:
-    """Graded dual: (M, A) -> (-M, -A), transposed differential, tower re-topped at 0."""
-    gens = tuple((-m, -a) for m, a in complex_.generators)
-    diff = {(l, k): n for (k, l), n in complex_.differential.items()}
-    dual = BifilteredComplex(gens, diff)
-    shift = dual.tower_top()
-    if shift != 0:
-        gens = tuple((m - shift, a) for m, a in gens)
-        dual = BifilteredComplex(gens, diff)
-    return dual
+    """Graded dual: (M, A) -> (-M, -A) and the differential transposed.
+
+    Its tower top is minus the input's (dual lemma, module docstring), so the
+    dual of a normalised complex is normalised; nothing is searched.
+    """
+    return BifilteredComplex(
+        tuple((-m, -a) for m, a in complex_.generators),
+        {(l, k): n for (k, l), n in complex_.differential.items()},
+    )
 
 
 def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredComplex:
@@ -590,8 +639,8 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     """V-sequence of an expression.
 
     Single positive torus knots take the semigroup fast path; everything else
-    goes through the chain complex, every sublevel from one sweep.  Where
-    both paths apply they are compared (small genus).
+    goes through the chain complex, every sublevel from one sweep, and must
+    end in V_g = 0.  Where both paths apply they are compared (small genus).
     """
     expr = as_expression(expr)
     seq = _recall(expr)
@@ -612,6 +661,8 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
         seq = VSequence(())
     else:
         values = tuple(_v_values(complex_of(expr), 0, expr.genus))
+        if values[-1]:
+            raise InternalCheckError(f"tower normalisation broken: V_{expr.genus} = {values[-1]}, not 0")
         try:
             seq = VSequence(values)
         except ValidationError as exc:

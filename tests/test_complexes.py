@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from knotwind import (
@@ -471,14 +471,15 @@ def test_sweep_matches_per_level_reduction(expr):
     levels = range(expr.genus + 2)  # the last level has every floor 0
     swept = list(_reduced_sublevels(chain, levels[0], levels[-1]))
     assert [s for s, _ in swept] == list(levels)
-    for s, reduced in swept:
-        assert all(e > window for e in reduced.differential.values()), s
+    for s, survivors in swept:
         floors = tuple(max(0, a - s) for _, a in chain.generators)
         per_level = reduce_sublevel(chain, floors)
+        assert per_level.generators == tuple((m, 0) for m in survivors.values()), s
+        assert per_level.differential == {}, s
+        (read,) = survivors.values()
         for n in (order, order + 1):
-            top = _guarded_tower_top(reduced, (0,) * reduced.n_generators, n, window)
-            assert top == _guarded_tower_top(per_level, (0,) * per_level.n_generators, n, window), (s, n)
-            assert top == _guarded_tower_top(chain, floors, n, window), (s, n)
+            assert read == _guarded_tower_top(per_level, (0,) * per_level.n_generators, n, window), (s, n)
+            assert read == _guarded_tower_top(chain, floors, n, window), (s, n)
 
 
 def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
@@ -504,10 +505,84 @@ def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
         _cancel(out, into, gradings(s), gradings(s), 0)
         assert set(out) == {0, 1, 2, 3, 4} - cancelled, s
     # Each level then cancels its own exponent-0 arrow; the window (2) takes the other.
-    for s, reduced in _reduced_sublevels(chain, 0, 1):
+    for s, survivors in _reduced_sublevels(chain, 0, 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
-        assert reduced == reduce_sublevel(chain, floors), s
-        assert reduced.generators == ((0, 0),), s
+        assert survivors == {4: 0}, s
+        assert reduce_sublevel(chain, floors) == BifilteredComplex(((0, 0),)), s
+
+
+@pytest.mark.parametrize(
+    "chain, count",
+    [
+        # The free generator sits at 0, but the exponent-2 arrow is above the
+        # window 1, so its summand would count as a tower at 4.
+        (BifilteredComplex(((0, 0), (1, 0), (4, 0)), {(1, 2): 2}), 3),
+        (BifilteredComplex(((0, 0), (-1, 0)), {(0, 1): 0}), 0),
+    ],
+    ids=["arrow-above-window", "nothing-survives"],
+)
+def test_tower_top_raises_unless_one_generator_survives(chain, count):
+    with pytest.raises(InternalCheckError, match=f"^{count} generators survive the reduction of level 0,"):
+        chain.tower_top()
+    with pytest.raises(InternalCheckError, match=f"^{count} generators survive"):
+        v_invariant(chain, 0)
+
+
+@given(
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 4)), max_size=5),
+    st.integers(0, 2),
+)
+def test_tower_top_reads_the_one_survivor_of_a_direct_sum(towers, pairs, radius):
+    # Free generators at gradings 2t, the first at Alexander grading `radius`,
+    # beside pairs g_k -> U^e g_l at Alexander grading 0.
+    gens = [(2 * t, radius if j == 0 else 0) for j, t in enumerate(towers)]
+    diff = {}
+    for m, e in pairs:
+        diff[(len(gens), len(gens) + 1)] = e
+        gens += [(m, 0), (m - 1 + 2 * e, 0)]
+    assume(gens)
+    chain = BifilteredComplex(tuple(gens), diff)
+    window = chain.alexander_radius + 1
+    count = len(towers) + 2 * sum(e > window for _, e in pairs)
+    if count == 1:
+        assert chain.tower_top() == 2 * towers[0]
+    else:
+        with pytest.raises(InternalCheckError, match=f"^{count} generators survive"):
+            chain.tower_top()
+
+
+@given(small_sums, st.integers(-3, 3))
+def test_dual_tower_top_is_minus_the_input_top(expr, k):
+    chain = complex_of(expr)
+    shifted = BifilteredComplex(tuple((m + 2 * k, a) for m, a in chain.generators), chain.differential)
+    assert shifted.tower_top() == 2 * k
+    assert dualize(shifted).tower_top() == -2 * k
+    assert dualize(dualize(shifted)) == shifted
+
+
+def test_duals_of_staircases_are_normalised():
+    knots = [TorusKnot(p, q) for p in range(2, 62) for q in range(p + 1, 62)
+             if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 60]
+    assert {knot.genus for knot in knots} == set(range(1, 31))
+    for knot in knots:
+        dualize(staircase(knot)).validate()
+
+
+def test_v_sequence_checks_the_normalisation_of_duals(monkeypatch):
+    import knotwind.complexes as cx
+
+    dualize_exactly = cx.dualize
+
+    def dualize_too_low(chain):
+        dual = dualize_exactly(chain)
+        return BifilteredComplex(tuple((m - 2, a) for m, a in dual.generators), dual.differential)
+
+    expr = parse_knot_expr("T(2,3) # -T(2,5)")
+    assert list(v_sequence(expr)) == [0, 0, 0, 0]
+    monkeypatch.setattr(cx, "dualize", dualize_too_low)
+    with pytest.raises(InternalCheckError, match="tower normalisation broken: V_3 = 1, not 0"):
+        v_sequence(expr)
 
 
 @pytest.mark.parametrize(
