@@ -11,9 +11,14 @@ construction time:
     filtration:    A(g_l) - n <= A(g_k) on every entry.
 
 The homological normalisation (the U-non-torsion tower of the full complex
-tops out at Maslov grading 0) is available as `tower_top`.  `staircase`
-arranges it by construction, `dualize` keeps it (dual lemma below), and
-`tensor` adds tower tops.
+tops out at Maslov grading 0) is available as `tower_top`.  `complex_of`
+builds the complex of an expression in one construction: it folds the raw
+generators and differentials of its signed staircases through the Leibniz
+rule, each staircase normalised by its gradings and each dual keeping the
+normalisation (dual lemma below), tower tops adding under the tensor
+product.  Only the result is constructed, so the laws are checked once, on
+the complex the engine uses; `staircase`, `dualize` and `tensor` construct
+and check the same parts one at a time.
 
 V-invariants are read off sublevel subcomplexes: for s >= 0, A_s^- is
 spanned by U^a * g with a >= f(g) = max(0, A(g) - s).
@@ -112,29 +117,48 @@ So the dual of a normalised complex is normalised and `dualize` searches
 nothing: the complex-level form of d(-Y) = -d(Y) (Ozsvath-Szabo,
 "Absolutely graded Floer homologies...", 2003).
 
-Tower search.  `_truncated_tower_top` is the independent search behind the
+Tower search.  `_truncated_tower_tops` is the independent search behind the
 small-complex cross-check; `TruncatedComplex` is the validated public value
-of its model.  It takes plain values: the complex, its floors, the order N
-and the window w.  Its model keeps U^a * g for floors[g] <= a < N and reads
-each row straight from `arrows_out`.  The floors must span a subcomplex;
-level floors always do, and `reduce_sublevel` checks the ones it is given
-(on its result they are all 0, so the model is A_s^- / U^N A_s^-).
-A generator has at most one basis element per Maslov grading, so rows are
-generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.
-The tower top is the maximal grading m with a cycle whose U^w-image is not
-a boundary.  The search walks the gradings from the top down, reading each
-from the complex, and stops at the first hit.  At each m it takes D, the
-boundaries of the basis of m, B, the boundaries landing in m - 2w, and V,
-the span of the pairs (de, U^w e) over the basis of m together with
-(0, B).  Projecting V onto its first part has image D and kernel
-0 x (U^w(cycles) + B), so a surviving cycle exists iff
+of its model.  It takes plain values: the complex, the floors of each level,
+the order N and the window w.  Its model of a level keeps U^a * g for
+floors[g] <= a < N and reads each row straight from `arrows_out`.  The
+floors must span a subcomplex; level floors always do, and
+`reduce_sublevel` checks the ones it is given (on its result they are all
+0, so the model is A_s^- / U^N A_s^-).  A generator has at most one basis
+element per Maslov grading, so rows are generator-numbered: bit g over
+grading m is U^a * g, a = (M(g) - m)/2.  The tower top is the maximal
+grading m with a cycle whose U^w-image is not a boundary.  At each m the
+search takes D, the boundaries of the basis of m, B, the boundaries landing
+in m - 2w, and V, the span of the pairs (de, U^w e) over the basis of m
+together with (0, B).  Projecting V onto its first part has image D and
+kernel 0 x (U^w(cycles) + B), so a surviving cycle exists iff
 rank V - rank D > rank B.  V_s is minus half the top grading.
+
+    Lemma.  At a fixed grading m and order N, the basis of level s is
+    contained in that of every level t > s, and D, B and V of level s are
+    spanned by a subset of the rows that span those of level t.
+    Sketch.  U^a * g lies in the basis of m at level s iff
+    M(g) - 2a = m and f_s(g) <= a < N, and f_s(g) = max(0, A(g) - s) does
+    not increase with s.  The row of U^a * g is its boundary: the terms
+    U^(a+n) * l over its arrows g->l with a + n < N, in the basis of every
+    level that admits U^a * g as the floors span a subcomplex.  No floor
+    enters it, so it is the same row at every such level.  D, B and V are
+    spans of these rows over the basis of m and of m - 2w + 1, and a rank
+    depends on the set of rows, not on the order they are inserted in.
+
+So one walk per order serves every level: it goes down from the top grading
+of the last level, inserts each basis element of m and of m - 2w + 1 into
+three echelon spaces D, B and V at the first level whose floors admit it,
+and after each level's insertions the ranks are that level's.  Each level
+records the first m where rank V - rank D > rank B, and the walk stops once
+every level has one.  `_truncated_tower_top` is its one-level case.
 
 Checks.  Every level is read off its one survivor, and a level that
 reduces to zero or several generators raises.  Complexes of at most
 `_CROSS_CHECK_GENERATORS` generators are also searched unreduced, at the
-truncation orders N and N+1: the two searches must agree with each other
-and with the read, and a disagreement raises, never returns.  Only the
+truncation orders N and N+1, by one walk per order that serves every level
+(Tower search): the two searches must agree with each other and with the
+read at each level, and a disagreement raises, never returns.  Only the
 search needs a second order, since the read is exact while a truncated
 model can miss the tower: for T(2,9) at s = 0 the read gives -4, and the
 unreduced search at order 7 finds no surviving class.  Every top must be
@@ -146,6 +170,7 @@ normalisation of every staircase, dual and tensor in the sum.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -178,7 +203,14 @@ class BifilteredComplex:
     alexander_radius: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gens = tuple((exact_int(m, _GRADINGS), exact_int(a, _GRADINGS)) for m, a in self.generators)
+        # Each `x.__class__ is int` test only spares the call to exact_int.
+        gens = tuple(
+            (
+                m if m.__class__ is int else exact_int(m, _GRADINGS),
+                a if a.__class__ is int else exact_int(a, _GRADINGS),
+            )
+            for m, a in self.generators
+        )
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ValidationError("a complex needs at least one generator")
@@ -186,9 +218,12 @@ class BifilteredComplex:
         diff: dict[tuple[int, int], int] = {}
         out: list[list[tuple[int, int]]] = [[] for _ in gens]
         for (k, l), n in self.differential.items():
-            if not (0 <= exact_int(k, _KEYS) < count and 0 <= exact_int(l, _KEYS) < count):
+            if not (
+                0 <= (k if k.__class__ is int else exact_int(k, _KEYS)) < count
+                and 0 <= (l if l.__class__ is int else exact_int(l, _KEYS)) < count
+            ):
                 raise ValidationError(f"differential entry ({k},{l}) is out of range")
-            if exact_int(n, "U-exponents must be integers") < 0:
+            if (n if n.__class__ is int else exact_int(n, "U-exponents must be integers")) < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
             diff[(k, l)] = n
             out[k].append((l, n))
@@ -272,37 +307,66 @@ class TruncatedComplex:
         return buckets
 
 
-def _truncated_tower_top(
-    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
-) -> int | None:
-    """Maximal grading with a cycle surviving U^window, or None; the floors are not checked."""
-    gens, arrows_out = complex_.generators, complex_.arrows_out
-    width = len(gens)
+def _truncated_tower_tops(
+    complex_: BifilteredComplex, floors_list: list[tuple[int, ...]], order: int, window: int
+) -> list[int | None]:
+    """Per level, the maximal grading with a cycle surviving U^window, or None; one walk serves all.
 
-    def grading(m: int) -> list[tuple[int, int]]:
-        """Basis elements (g, a) of grading m; in a row over m, bit g stands for U^a * g."""
-        return [(g, (mg - m) // 2) for g, (mg, _) in enumerate(gens)
-                if (mg - m) % 2 == 0 and floors[g] <= (mg - m) // 2 < order]
+    `floors_list` gives the floors of each level, no floor above the level
+    before's, so each level's basis at a grading contains the one before's
+    (module docstring).  The floors are not checked.
+    """
+    gens, arrows_out = complex_.generators, complex_.arrows_out
+    width, count = len(gens), len(floors_list)
+    # The floors of each generator, lowest first: U^a * g first enters at level
+    # count - bisect_right(rising[g], a), the first whose floor is at most a.
+    rising = [sorted(column) for column in zip(*floors_list)]
+
+    def grading(m: int) -> list[list[tuple[int, int]]]:
+        """Basis elements (g, a) of grading m by the level they enter at; bit g stands for U^a * g."""
+        levels: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+        for g, (mg, _) in enumerate(gens):
+            a = (mg - m) // 2
+            if (mg - m) % 2 == 0 and rising[g][0] <= a < order:
+                levels[count - bisect_right(rising[g], a)].append((g, a))
+        return levels
 
     def row(g: int, a: int) -> int:
         """Boundary of U^a * g as a mask over generator numbers (targets are distinct)."""
         return sum(1 << l for l, n in arrows_out[g] if a + n < order)
 
-    top = max(mg - 2 * f for (mg, _), f in zip(gens, floors))
+    tops: list[int | None] = [None] * count
+    missing = count
+    top = max(mg - 2 * f for (mg, _), f in zip(gens, floors_list[-1]))
     bottom = min(mg for mg, _ in gens) - 2 * (order - 1)
     for m in range(top, bottom - 1, -1):
-        # V with (0, B) added first: rows (de << width | U^window e) whose
-        # echelon pivot falls below `width` span U^window(cycles) + B, so
-        # their count is rank V - rank D.
-        space = BitSpace()
-        for e in grading(m - 2 * window + 1):
-            space.add(row(*e))
-        rank_b = space.rank
-        for g, a in grading(m):
-            space.add(row(g, a) << width | (1 << g if a + window < order else 0))
-        if sum(pivot < width for pivot in space.rows) > rank_b:
-            return m
-    return None
+        # D: the boundaries of the basis of m; B: those landing in m - 2w;
+        # V: the pairs (de, U^window e) over the basis of m, and (0, B), as
+        # rows de << width | U^window e.  Each only grows from one level to
+        # the next, and `excess` is rank V - rank D - rank B.
+        space_d, space_b, space_v = BitSpace(), BitSpace(), BitSpace()
+        excess = 0
+        for level, below, here in zip(range(count), grading(m - 2 * window + 1), grading(m)):
+            for g, a in below:
+                boundary = row(g, a)
+                excess += space_v.add(boundary) - space_b.add(boundary)
+            for g, a in here:
+                boundary = row(g, a)
+                image = 1 << g if a + window < order else 0
+                excess += space_v.add(boundary << width | image) - space_d.add(boundary)
+            if excess > 0 and tops[level] is None:
+                tops[level] = m
+                missing -= 1
+        if not missing:
+            break
+    return tops
+
+
+def _truncated_tower_top(
+    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
+) -> int | None:
+    """Maximal grading with a cycle surviving U^window, or None; the floors are not checked."""
+    return _truncated_tower_tops(complex_, [floors], order, window)[0]
 
 
 def _truncation_order(complex_: BifilteredComplex) -> int:
@@ -342,14 +406,15 @@ def _cancel(
     the interval is the larger of its values at the two ends.
     """
 
-    def exponent(k: int, l: int) -> int:
-        d, e = low[l] - low[k], high[l] - high[k]
-        return (d if d > e else e) + 1 >> 1
-
+    single = low is high
     queued: list[list[tuple[int, int]]] = [[] for _ in range(limit + 1)]  # arrows by exponent
     for k, targets in out.items():
+        lowk, highk = low[k], high[k]
         for l in targets:
-            e = exponent(k, l)
+            d = low[l] - lowk
+            if not single and high[l] - highk > d:
+                d = high[l] - highk
+            e = d + 1 >> 1
             if e <= limit:
                 queued[e].append((k, l))
     # Drained in rising exponent order, so the arrow k->l taken has the least
@@ -358,23 +423,29 @@ def _cancel(
     for bucket in queued:
         while bucket:
             k, l = bucket.pop()
-            if l not in out.get(k, ()):
+            targets = out.get(k, ())
+            if l not in targets:
                 continue  # cancelled or toggled away since it was queued
-            targets = [y for y in out[k] if y != l]
-            for x in into[l]:
-                if x == k:
-                    continue
-                ox = out[x]
-                for y in targets:
-                    if y in ox:
-                        ox.remove(y)
-                        into[y].remove(x)
-                    else:
-                        ox.add(y)
-                        into[y].add(x)
-                        e = exponent(x, y)
-                        if e <= limit:
-                            queued[e].append((x, y))
+            sources = into[l]
+            if len(sources) > 1 and len(targets) > 1:  # else nothing to toggle
+                targets = [y for y in targets if y != l]
+                for x in sources:
+                    if x == k:
+                        continue
+                    ox, lowx, highx = out[x], low[x], high[x]
+                    for y in targets:
+                        if y in ox:
+                            ox.remove(y)
+                            into[y].remove(x)
+                        else:
+                            ox.add(y)
+                            into[y].add(x)
+                            d = low[y] - lowx
+                            if not single and high[y] - highx > d:
+                                d = high[y] - highx
+                            e = d + 1 >> 1
+                            if e <= limit:
+                                queued[e].append((x, y))
             for g in (k, l):
                 for y in out.pop(g):
                     into[y].discard(g)
@@ -443,12 +514,8 @@ def _reduced_sublevels(
             yield a, {g: low[g] for g in out}
 
 
-def _guarded_tower_top(
-    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
-) -> int:
-    """Tower top computed at orders N and N+1; instability raises, never returns."""
-    first = _truncated_tower_top(complex_, floors, order, window)
-    second = _truncated_tower_top(complex_, floors, order + 1, window)
+def _stable_top(first: int | None, second: int | None, order: int) -> int:
+    """The tower top found at orders N and N+1; instability or no class raises, never returns."""
     if first != second:
         raise TruncationInstabilityError(
             f"tower top changed between truncation orders {order} and {order + 1} "
@@ -462,25 +529,39 @@ def _guarded_tower_top(
     return first
 
 
+def _guarded_tower_top(
+    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
+) -> int:
+    """Tower top computed at orders N and N+1; instability raises, never returns."""
+    first, second = (_truncated_tower_top(complex_, floors, n, window) for n in (order, order + 1))
+    return _stable_top(first, second, order)
+
+
 def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
     """Tower tops of the sublevels A_s^-, s = first..last: each the grading G_s of its one survivor.
 
     A level that reduces to zero or several generators raises.  Small
-    complexes are also searched unreduced, level by level, at the orders N
-    and N+1 and with the window of the complex, and a disagreement raises.
+    complexes are also searched unreduced, at the orders N and N+1 and with
+    the window of the complex, one walk per order for every level, and a
+    disagreement raises.  Both walks run before any level is checked; the
+    checks then go level by level, in the order above.
     """
-    order, window = _truncation_order(complex_), _window(complex_)
+    levels = list(_reduced_sublevels(complex_, first, last))
+    walks = None
+    if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
+        order, window = _truncation_order(complex_), _window(complex_)
+        floors = [tuple(max(0, a - s) for _, a in complex_.generators) for s, _ in levels]
+        walks = [_truncated_tower_tops(complex_, floors, n, window) for n in (order, order + 1)]
     tops = []
-    for s, survivors in _reduced_sublevels(complex_, first, last):
+    for i, (s, survivors) in enumerate(levels):
         if len(survivors) != 1:
             raise InternalCheckError(
                 f"{len(survivors)} generators survive the reduction of level {s}, not one: "
                 "its tower top cannot be read off"
             )
         (top,) = survivors.values()
-        if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
-            floors = tuple(max(0, a - s) for _, a in complex_.generators)
-            direct = _guarded_tower_top(complex_, floors, order, window)
+        if walks is not None:
+            direct = _stable_top(walks[0][i], walks[1][i], order)
             if direct != top:
                 raise InternalCheckError(
                     f"reduced and unreduced tower tops disagree at level {s}: {top} vs {direct}"
@@ -489,17 +570,13 @@ def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]
     return tops
 
 
-def staircase(knot: TorusKnot) -> BifilteredComplex:
-    """Staircase complex of a positive torus knot.
+# A part is the raw (generators, differential) of a complex, unvalidated:
+# `complex_of` builds one per summand and validates only their tensor product.
+_Part = tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
 
-    The symmetrised Alexander exponents of T(p,q) are the points where the
-    membership indicator of Gamma(p,q) switches on or off, shifted by the
-    genus.  Generators sit at those Alexander gradings in descending order;
-    every odd-indexed generator maps onto its two neighbours, the higher one
-    with the U-exponent that preserves the Alexander filtration sharply.
-    """
-    if not isinstance(knot, TorusKnot):
-        raise ValidationError(f"staircase expects a TorusKnot, got {knot!r}")
+
+def _staircase_part(knot: TorusKnot) -> _Part:
+    """The staircase of a positive torus knot, its Alexander exponents checked for symmetry."""
     semigroup = semigroup_from_pair(knot.p, knot.q)
     g = knot.genus
     exponents: list[int] = []
@@ -526,7 +603,42 @@ def staircase(knot: TorusKnot) -> BifilteredComplex:
     for j in range(1, count, 2):
         diff[(j, j - 1)] = exponents[j - 1] - exponents[j]
         diff[(j, j + 1)] = 0
-    return BifilteredComplex(tuple(gens), diff)
+    return tuple(gens), diff
+
+
+def _dual_part(part: _Part) -> _Part:
+    """Both gradings negated, the differential transposed."""
+    gens, diff = part
+    return tuple((-m, -a) for m, a in gens), {(l, k): n for (k, l), n in diff.items()}
+
+
+def _tensor_part(left: _Part, right: _Part) -> _Part:
+    """Gradings added, the differential by the Leibniz rule."""
+    (lgens, ldiff), (rgens, rdiff) = left, right
+    nright = len(rgens)
+    gens = tuple((m1 + m2, a1 + a2) for m1, a1 in lgens for m2, a2 in rgens)
+    diff: dict[tuple[int, int], int] = {}
+    for (k, l), n in ldiff.items():
+        for j in range(nright):
+            diff[(k * nright + j, l * nright + j)] = n
+    for (k, l), n in rdiff.items():
+        for i in range(len(lgens)):
+            diff[(i * nright + k, i * nright + l)] = n
+    return gens, diff
+
+
+def staircase(knot: TorusKnot) -> BifilteredComplex:
+    """Staircase complex of a positive torus knot.
+
+    The symmetrised Alexander exponents of T(p,q) are the points where the
+    membership indicator of Gamma(p,q) switches on or off, shifted by the
+    genus.  Generators sit at those Alexander gradings in descending order;
+    every odd-indexed generator maps onto its two neighbours, the higher one
+    with the U-exponent that preserves the Alexander filtration sharply.
+    """
+    if not isinstance(knot, TorusKnot):
+        raise ValidationError(f"staircase expects a TorusKnot, got {knot!r}")
+    return BifilteredComplex(*_staircase_part(knot))
 
 
 def dualize(complex_: BifilteredComplex) -> BifilteredComplex:
@@ -535,38 +647,30 @@ def dualize(complex_: BifilteredComplex) -> BifilteredComplex:
     Its tower top is minus the input's (dual lemma, module docstring), so the
     dual of a normalised complex is normalised; nothing is searched.
     """
-    return BifilteredComplex(
-        tuple((-m, -a) for m, a in complex_.generators),
-        {(l, k): n for (k, l), n in complex_.differential.items()},
-    )
+    return BifilteredComplex(*_dual_part((complex_.generators, complex_.differential)))
 
 
 def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over F_2[U]: gradings add, differential by the Leibniz rule."""
-    nright = right.n_generators
-    gens = tuple(
-        (m1 + m2, a1 + a2) for m1, a1 in left.generators for m2, a2 in right.generators
+    return BifilteredComplex(
+        *_tensor_part((left.generators, left.differential), (right.generators, right.differential))
     )
-    diff: dict[tuple[int, int], int] = {}
-    for (k, l), n in left.differential.items():
-        for j in range(nright):
-            diff[(k * nright + j, l * nright + j)] = n
-    for (k, l), n in right.differential.items():
-        for i in range(left.n_generators):
-            diff[(i * nright + k, i * nright + l)] = n
-    return BifilteredComplex(gens, diff)
 
 
 def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
-    """Complex of a knot expression: staircases, duals for mirrors, tensor over #."""
+    """Complex of a knot expression: staircases, duals for mirrors, tensor over #.
+
+    The parts are folded raw, and only the result is constructed, so every law
+    is checked once, on the complex the engine uses.
+    """
     expr = as_expression(expr)
     if not expr.summands:
         return BifilteredComplex(((0, 0),), {})
     parts = [
-        staircase(knot) if sign > 0 else dualize(staircase(knot))
+        _staircase_part(knot) if sign > 0 else _dual_part(_staircase_part(knot))
         for knot, sign in expr.summands
     ]
-    return reduce(tensor, parts)
+    return BifilteredComplex(*reduce(_tensor_part, parts))
 
 
 def _v_values(complex_: BifilteredComplex, first: int, last: int) -> list[int]:

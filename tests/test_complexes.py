@@ -1,6 +1,7 @@
 """Chain-complex oracle: staircases, duals, tensors, and V-extraction."""
 
 import random
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -228,6 +229,16 @@ def test_v_at_agrees_with_v_sequence_on_every_route(expr):
             assert [v_at(expr, s) for s in levels] == expected
 
 
+@given(small_sums)
+def test_complex_of_is_the_fold_of_the_public_builders(expr):
+    chain = complex_of(expr)
+    parts = [staircase(knot) if sign > 0 else dualize(staircase(knot)) for knot, sign in expr.summands]
+    folded = reduce(tensor, parts) if parts else BifilteredComplex(((0, 0),))
+    assert chain.generators == folded.generators
+    assert list(chain.differential.items()) == list(folded.differential.items())
+    assert chain.arrows_out == folded.arrows_out
+
+
 def test_diamond_consistency_grid():
     for n in (2, 3, 4, 5):
         for a in (1, 2):
@@ -420,6 +431,36 @@ def test_tower_top_matches_brute_force(name):
             assert got == brute_tower_top(chain, floors, n, window), (floors, n)
 
 
+def assert_one_walk_matches_brute_force(chain, orders):
+    """Each level of one walk equals the brute-force search of that level alone."""
+    from knotwind.complexes import _truncated_tower_tops
+
+    window = chain.alexander_radius + 1
+    levels = range(chain.alexander_radius + 1)
+    floors = [tuple(max(0, a - s) for _, a in chain.generators) for s in levels]
+    for n in orders:
+        walk = _truncated_tower_tops(chain, floors, n, window)
+        assert walk == [brute_tower_top(chain, f, n, window) for f in floors], n
+
+
+@given(small_sums)
+def test_one_walk_matches_brute_force_at_every_level(expr):
+    from knotwind.complexes import _CROSS_CHECK_GENERATORS, _truncation_order
+
+    chain = complex_of(expr)
+    assume(chain.n_generators <= _CROSS_CHECK_GENERATORS)  # the complexes the walk serves
+    order = _truncation_order(chain)
+    assert_one_walk_matches_brute_force(chain, (order, order + 1))
+
+
+@pytest.mark.parametrize("text", ["-T(5,6)", "-T(6,7)", "-T(4,7)", "T(2,3) # -T(2,3)"])
+def test_one_walk_matches_brute_force_at_every_order(text):
+    from knotwind.complexes import _truncation_order
+
+    chain = complex_of(parse_knot_expr(text))
+    assert_one_walk_matches_brute_force(chain, range(1, _truncation_order(chain) + 2))
+
+
 def test_reduction_keeps_arrows_above_the_window():
     from knotwind.complexes import _truncated_tower_top, reduce_sublevel
 
@@ -572,15 +613,15 @@ def test_duals_of_staircases_are_normalised():
 def test_v_sequence_checks_the_normalisation_of_duals(monkeypatch):
     import knotwind.complexes as cx
 
-    dualize_exactly = cx.dualize
+    dual_exactly = cx._dual_part
 
-    def dualize_too_low(chain):
-        dual = dualize_exactly(chain)
-        return BifilteredComplex(tuple((m - 2, a) for m, a in dual.generators), dual.differential)
+    def dual_too_low(part):
+        gens, diff = dual_exactly(part)
+        return tuple((m - 2, a) for m, a in gens), diff
 
     expr = parse_knot_expr("T(2,3) # -T(2,5)")
     assert list(v_sequence(expr)) == [0, 0, 0, 0]
-    monkeypatch.setattr(cx, "dualize", dualize_too_low)
+    monkeypatch.setattr(cx, "_dual_part", dual_too_low)
     with pytest.raises(InternalCheckError, match="tower normalisation broken: V_3 = 1, not 0"):
         v_sequence(expr)
 
