@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import A_SEMIGROUP, A_TOWER, v_at, v_route
+from .complexes import A_SEMIGROUP, A_TOWER, complex_of, v_at, v_invariant, v_route
 from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import diamond_reduce, v_sequence_torus
@@ -228,7 +228,8 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
     blow-down knots of the family; m = (4n+2)(4n+3) is the surgery slope.
     V_0(J') is taken through the multiplicity-sequence reduction to
     T(2n+1,8n+5), cross-checked against the chain complex when the genus is
-    small enough (pass homology_cross_check to force either way).  The chain
+    small enough (pass homology_cross_check to force either way); the complex
+    is built and searched every time, never read from the V-memo.  The chain
     dtw(Y_0) + dtw(-Y_0) + 1 must equal 2n+2 exactly, giving the even
     induced minimum 4n+2, sharp against the explicit sphere with 4n+2
     intersections.
@@ -253,7 +254,7 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
     if homology_cross_check is None:
         homology_cross_check = jp_expr.genus <= 50
     if homology_cross_check:
-        hom = v_at(jp_expr, 0)
+        hom = v_invariant(complex_of(jp_expr), 0)
         if hom != v0_jp:
             raise InternalCheckError(
                 f"K_{n} cross-check failed: homology V_0(J') = {hom}, "

@@ -165,7 +165,9 @@ unreduced search at order 7 finds no surviving class.  Every top must be
 an even non-positive grading.  On the homology route `v_sequence` checks
 V_g = 0 for the genus g: at level g every floor is 0, so V_g is minus half
 the tower top of the whole complex, and this one check covers the
-normalisation of every staircase, dual and tensor in the sum.
+normalisation of every staircase, dual and tensor in the sum.  `v_at` reads
+`v_sequence`, so V_g = 0 guards every value it returns; `v_invariant` reads
+a complex it is given, whose normalisation it does not check.
 """
 
 from __future__ import annotations
@@ -722,13 +724,6 @@ def _servable(expr: KnotExpression, values: list[int]) -> VSequence | None:
     return seq if len(seq) == length and not any(seq.values[-1:]) else None
 
 
-def _recall(expr: KnotExpression) -> VSequence | None:
-    """The memo entry of `expr` if it is servable, else None (recompute)."""
-    memo = _memo.get()
-    values = None if memo is None else memo.get(str(expr))
-    return None if values is None else _servable(expr, values)
-
-
 def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
     """Route `v_sequence` and `v_at` take for an expression, and its trail anchor."""
     expr = as_expression(expr)
@@ -745,9 +740,13 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     Single positive torus knots take the semigroup fast path; everything else
     goes through the chain complex, every sublevel from one sweep, and must
     end in V_g = 0.  Where both paths apply they are compared (small genus).
+    A servable entry of the current `v_memo` is returned as it is, and a
+    computed sequence is stored there.
     """
     expr = as_expression(expr)
-    seq = _recall(expr)
+    memo = _memo.get()
+    values = None if memo is None else memo.get(str(expr))
+    seq = None if values is None else _servable(expr, values)
     if seq is not None:
         return seq
     knot = expr.single_positive_torus_knot()
@@ -771,16 +770,16 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
             seq = VSequence(values)
         except ValidationError as exc:
             raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
-    memo = _memo.get()
     if memo is not None:
         memo[str(expr)] = list(seq.values)
     return seq
 
 
 def v_at(expr: KnotExpression | TorusKnot, s: int) -> int:
-    """V_s: one level searched on the unmemoised homology route, else `v_sequence(expr).at(s)`."""
+    """V_s of an expression: `v_sequence(expr).at(s)`, with every check and memo entry it makes.
+
+    The index is checked before anything is computed.
+    """
     expr = as_expression(expr)
     exact_int(s, "V-sequence index must be a non-negative integer", 0)
-    if v_route(expr)[0] == "staircase homology" and _recall(expr) is None:
-        return v_invariant(complex_of(expr), s)
     return v_sequence(expr).at(s)

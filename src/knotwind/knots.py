@@ -144,7 +144,7 @@ def parse_knot_expr(text: str) -> KnotExpression:
 
     def parse_int(i: int) -> tuple[int, int]:
         j = i
-        while j < n and text[j].isdigit():
+        while j < n and "0" <= text[j] <= "9":  # ASCII only: str.isdigit accepts superscripts too
             j += 1
         if j == i:
             fail(i, "an integer")

@@ -62,10 +62,6 @@ class NumericalSemigroup:
             return self._prefix[self.conductor] + (t - self.conductor)
         return self._prefix[t]
 
-    @property
-    def gap_count(self) -> int:
-        return self.conductor - self._prefix[self.conductor]
-
     def __repr__(self) -> str:
         return f"NumericalSemigroup({self.p},{self.q})"
 

@@ -44,9 +44,6 @@ class SpincLabel:
     def chern(self) -> int:
         return self.n - 2 * self.i
 
-    def conjugate(self) -> "SpincLabel":
-        return SpincLabel(self.n, (self.n - self.i) % self.n)
-
 
 @dataclass(frozen=True, slots=True)
 class CorrectionTable:

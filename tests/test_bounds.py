@@ -18,6 +18,7 @@ from knotwind import (
     reproduce_kn,
     reproduce_whitehead,
     shake_bound,
+    v_memo,
     winding_bound_via_zero_surgery,
 )
 
@@ -194,6 +195,11 @@ def test_reproduce_kn_small():
     report = reproduce_kn(3)
     assert report.value == 8
     assert trail_dict(report)["V_0(J)"] - trail_dict(report)["V_0(J')"] == 4
+    # A stale memo entry for J' is never the cross-check: the complex is searched.
+    with v_memo({"T(3,7) # T(3,7)": [5, 5, 5, 5, 4, 3, 3, 2, 2, 1, 1, 1, 0]}):
+        report = reproduce_kn(1)
+    assert report.value == 4
+    assert trail_dict(report)["V_0(J') homology cross-check"] == 4
 
 
 def test_reproduce_kn_identity_up_to_10():

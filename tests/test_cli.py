@@ -54,6 +54,10 @@ def test_parser_errors():
         parse_knot_expr("T(2;3)")
     with pytest.raises(ValidationError):
         parse_knot_expr("T(1,5)")
+    with pytest.raises(ValidationError, match="syntax error at position 5: expected '\\)'"):
+        parse_knot_expr("T(2,3\u00b2)")  # a superscript two is no ASCII digit
+    with pytest.raises(ValidationError, match="syntax error at position 2: expected an integer"):
+        parse_knot_expr("T(\u0663,4)")  # nor is an Arabic-Indic three
 
 
 def test_parser_round_trip():
@@ -225,6 +229,9 @@ def test_cli_validation_errors_and_exit_codes():
     assert "(2,4)" in doc["error"]["message"]
     status, out, err = run(["vseq", "T(2,4)"])
     assert status == 2 and "error" in err
+    status, out, _ = run(["vseq", "--no-cache", "--format", "json", "--", "T(2,3\u00b2)"])
+    assert status == 2
+    assert json.loads(out)["error"]["kind"] == "validation"
     status, _, _ = run(["dinv", "T(2,3)", "--n", "0", "--i", "0", "--format", "json"])
     assert status == 2
     status, _, _ = run([])
@@ -335,7 +342,7 @@ def test_cli_cached_and_uncached_outputs_identical(tmp_path):
 def test_cli_bound_winding_caches_the_torus_knot(tmp_path):
     path = tmp_path / "cache.json"
     run_ok(["bound", "winding", "T(2,5)", "--cache", str(path)])
-    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
+    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0], "-T(2,5)": [0, 0, 0]}
 
 
 def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):

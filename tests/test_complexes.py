@@ -1,5 +1,6 @@
 """Chain-complex oracle: staircases, duals, tensors, and V-extraction."""
 
+import json
 import random
 from functools import reduce
 from math import gcd
@@ -28,6 +29,7 @@ from knotwind import (
     v_sequence,
     v_sequence_torus,
 )
+from knotwind.cli import run
 
 TREFOIL = TorusKnot(2, 3)
 
@@ -193,12 +195,12 @@ def test_v_at_torus_knot_is_cross_checked(monkeypatch):
         v_at(TorusKnot(2, 5), 0)
 
 
-def test_v_at_fills_the_memo_off_the_homology_route():
+def test_v_at_fills_the_memo():
     with v_memo({}) as memo:
         assert v_at(TorusKnot(2, 5), 0) == 1
         assert v_at(KnotExpression.unknot(), 0) == 0
         assert v_at(parse_knot_expr("-T(2,5)"), 0) == 0
-    assert memo == {"T(2,5)": [1, 1, 0], "U": []}
+    assert memo == {"T(2,5)": [1, 1, 0], "U": [], "-T(2,5)": [0, 0, 0]}
 
 
 def test_memo_entries_nonzero_at_the_genus_are_recomputed():
@@ -624,6 +626,11 @@ def test_v_sequence_checks_the_normalisation_of_duals(monkeypatch):
     monkeypatch.setattr(cx, "_dual_part", dual_too_low)
     with pytest.raises(InternalCheckError, match="tower normalisation broken: V_3 = 1, not 0"):
         v_sequence(expr)
+    with pytest.raises(InternalCheckError, match="tower normalisation broken: V_3 = 1, not 0"):
+        v_at(expr, 0)
+    status, out, _ = run(["bound", "winding", "--no-cache", "--format", "json", "--", str(expr)])
+    assert status == 1
+    assert json.loads(out)["error"]["kind"] == "internal"
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_semigroup_2_3_matches_enumeration():
     assert s.conductor == 2
     assert brute_members(2, 3, 2) == {0}
     assert [s.contains(m) for m in range(6)] == [True, False, True, True, True, True]
-    assert s.gap_count == 1
+    assert s.conductor - s.count_below(s.conductor) == 1
 
 
 def test_semigroup_membership_matches_enumeration_oracle():
@@ -59,7 +59,7 @@ def test_semigroup_membership_matches_enumeration_oracle():
 def test_gap_count_equals_genus():
     for p, q in COPRIME_PAIRS:
         s = semigroup_from_pair(p, q)
-        assert s.gap_count == (p - 1) * (q - 1) // 2
+        assert s.conductor - s.count_below(s.conductor) == (p - 1) * (q - 1) // 2
 
 
 def test_semigroup_closed_under_addition():
@@ -97,7 +97,7 @@ def test_count_below_beyond_conductor():
         base = s.count_below(s.conductor)
         for extra in (1, 5, 40):
             assert s.count_below(s.conductor + extra) == base + extra
-        assert base + s.gap_count == s.conductor
+        assert base + (p - 1) * (q - 1) // 2 == s.conductor
 
 
 def test_count_below_rejects_negative():
