@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import A_SEMIGROUP, A_TOWER, complex_of, v_at, v_invariant, v_route
-from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
+from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import diamond_reduce, v_sequence_torus
 from .surgery import CorrectionTable, dtw_zero
@@ -157,10 +157,8 @@ class EssentialInput:
             raise ValidationError(f"{what}, got {self.w!r}")
         table = {}
         for k, v in self.dtable.items():
-            try:  # JSON keys are strings; ValidationError is a ValueError too
-                residue = exact_int(int(k) if isinstance(k, str) else k, "d-table key")
-            except ValueError:
-                raise ValidationError(f"d-table key {k!r} is not an integer residue") from None
+            read = decimal_int if isinstance(k, str) else exact_int  # JSON keys are strings
+            residue = read(k, lambda: f"d-table key {k!r} is not an integer residue")
             if residue in table:
                 raise ValidationError(f"d-table key {k!r} names residue {residue} a second time")
             table[residue] = exact_rational(

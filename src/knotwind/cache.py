@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .complexes import _servable, v_route, v_sequence
 from .errors import ValidationError
-from .knots import parse_knot_expr
+from .knots import KnotExpression, parse_knot_expr
 from .semigroup import v_sequence_torus
 
 CACHE_ENV = "KNOTWIND_CACHE"
@@ -31,8 +31,9 @@ def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _spot_check(entries: dict[str, list[int]]) -> bool:
-    """Compare the entries with what they claim; False means the cache cannot be trusted.
+def _spot_check(entries: dict[str, list[int]], exprs: dict[str, KnotExpression]) -> bool:
+    """Compare the entries, keyed like `exprs`, with what they claim; False means the cache
+    cannot be trusted.
 
     Every entry on the semigroup route is compared with its semigroup count,
     which needs no complex.  Of the other entries that `v_sequence` would
@@ -42,11 +43,7 @@ def _spot_check(entries: dict[str, list[int]]) -> bool:
     recomputed.
     """
     others = {}
-    for key in entries:
-        try:
-            expr = parse_knot_expr(key)
-        except ValidationError:
-            return False
+    for key, expr in exprs.items():
         if v_route(expr)[0] != "semigroup count":
             if _servable(expr, entries[key]) is not None:
                 others[key] = expr
@@ -79,14 +76,19 @@ def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
         _warn(f"ignoring cache file {path}: missing entries object")
         return {}
     out: dict[str, list[int]] = {}
+    exprs: dict[str, KnotExpression] = {}
     for key, values in entries.items():
-        if not isinstance(key, str) or not isinstance(values, list) or not all(
+        try:
+            exprs[key] = parse_knot_expr(key)
+        except ValidationError:
+            values = None  # a key that does not parse is malformed like bad values
+        if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values
         ):
             _warn(f"ignoring cache file {path}: malformed entry {key!r}")
             return {}
         out[key] = list(values)
-    if out and not _spot_check(out):
+    if out and not _spot_check(out, exprs):
         _warn(f"ignoring cache file {path}: spot check found a stale V-sequence")
         return {}
     return out

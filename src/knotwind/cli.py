@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .cache import CACHE_ENV, cache_load, cache_store
 from .complexes import v_memo, v_route, v_sequence
-from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
+from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import parse_knot_expr
 from .surgery import correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
 
@@ -85,6 +85,14 @@ def _report_doc(command: str, report: BoundReport) -> dict:
     return doc
 
 
+def _int(text: str) -> int:
+    """Type of the integer options: `decimal_int`, the ASCII rule of knot expressions."""
+    return decimal_int(text, "not a decimal integer")
+
+
+_int.__name__ = "int"  # argparse names the type when it rejects a value: "invalid int value: ..."
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2); raise instead
         raise ValidationError(message)
@@ -125,9 +133,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dinv", help="d-invariants of a positive surgery")
     p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True, help="surgery coefficient (positive)")
+    p.add_argument("--n", type=_int, required=True, help="surgery coefficient (positive)")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--i", type=int, default=None, help="single spin^c index")
+    group.add_argument("--i", type=_int, default=None, help="single spin^c index")
     group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
     _add_leaf(p, _cmd_dinv, "dinv")
 
@@ -140,14 +148,14 @@ def build_parser() -> _Parser:
     p.add_argument("expr")
     _add_leaf(p, lambda args: shake_bound(parse_knot_expr(args.expr)), "bound shake")
     p = bound_sub.add_parser("essential", help="essential-class bound from a d-table file")
-    p.add_argument("--w", type=int, required=True, help="even winding class")
+    p.add_argument("--w", type=_int, required=True, help="even winding class")
     p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
     _add_leaf(p, _cmd_bound_essential, "bound essential")
 
     examples = sub.add_parser("examples", help="built-in worked bound chains")
     examples_sub = examples.add_subparsers(dest="example", metavar="NAME")
     p = examples_sub.add_parser("kn", help="the sharp family with winding number 4n+2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_leaf(p, lambda args: reproduce_kn(args.n), "examples kn")
     p = examples_sub.add_parser("whitehead", help="the knotified Hopf link bound")
     _add_leaf(p, lambda args: reproduce_whitehead(), "examples whitehead")
@@ -155,7 +163,7 @@ def build_parser() -> _Parser:
     seifert = sub.add_parser("seifert", help="Seifert presentations")
     seifert_sub = seifert.add_subparsers(dest="seifert_kind", metavar="NAME")
     p = seifert_sub.add_parser("kn", help="four-fibre presentation of the K_n surgery")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _add_leaf(p, _cmd_seifert_kn, "seifert kn")
 
     ncf = sub.add_parser("ncf", help="negative continued fractions")
@@ -227,10 +235,11 @@ def _cmd_seifert_kn(args) -> BoundReport:
 
 
 def _cmd_ncf_eval(args) -> BoundReport:
-    try:
-        coeffs = [int(part) for part in args.coeffs.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"coefficient list must be comma-separated integers, got {args.coeffs!r}") from None
+    coeffs = [
+        decimal_int(part, lambda: f"coefficient list must be comma-separated integers, got {args.coeffs!r}")
+        for part in args.coeffs.split(",")
+        if part.strip() != ""
+    ]
     value = ncf_eval(coeffs)
     trail = (TrailEntry("definition", value, A_NCF),)
     return BoundReport("ncf", value, None, {"coeffs": coeffs}, trail)

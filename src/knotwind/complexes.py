@@ -25,14 +25,14 @@ spanned by U^a * g with a >= f(g) = max(0, A(g) - s).
 
 Reduction.  A_s^- is free on h_g = U^f(g) * g, of Maslov grading
 M(g) - 2f(g); an arrow k->l of exponent n becomes an arrow h_k->h_l of
-exponent f(k) + n - f(l) >= 0.  `reduce_sublevel` cancels every arrow of
-exponent at most the window w = alexander_radius + 1 of the unreduced
-complex, least exponent first.  Cancelling k->l of exponent e, the least
-left, drops h_k and h_l and adds U^(a+b-e) to x->y for every x->l of
-exponent a and k->y of exponent b; the grading law fixes the exponent of
-x->y, so adding it is an XOR.  For e = 0 this is Gaussian elimination over
-F_2[U] and the result is homotopy equivalent; for e > 0 it is not, but
-the tower search cannot tell:
+exponent f(k) + n - f(l) >= 0.  The single-level step of the sweep (below)
+cancels every arrow of exponent at most the window w = alexander_radius + 1
+of the unreduced complex, least exponent first.  Cancelling k->l of
+exponent e, the least left, drops h_k and h_l and adds U^(a+b-e) to x->y
+for every x->l of exponent a and k->y of exponent b; the grading law fixes
+the exponent of x->y, so adding it is an XOR.  For e = 0 this is Gaussian
+elimination over F_2[U] and the result is homotopy equivalent; for e > 0 it
+is not, but the tower search cannot tell:
 
     Lemma.  If e <= w, the tower top of A_s^- / U^N is unchanged by the
     cancellation, for every N.
@@ -71,8 +71,8 @@ at level s, so one adjacency, without exponents, describes every level.
 interval cancels every arrow of exponent 0 at both ends, toggled ones
 included, then splits in two; an arrow of exponent 0 at one end only is
 left to the halves.  A single level cancels what is left up to the window,
-least exponent first, through the same `_cancel` step as `reduce_sublevel`,
-and yields its survivors with their gradings G_s.  Level floors always span
+least exponent first, through the same `_cancel` step (Reduction), and
+yields its survivors with their gradings G_s.  Level floors always span
 a subcomplex (f_s(l) <= f_s(k) + n by the filtration law), so the sweep
 checks none.
 
@@ -119,19 +119,18 @@ nothing: the complex-level form of d(-Y) = -d(Y) (Ozsvath-Szabo,
 
 Tower search.  `_truncated_tower_tops` is the independent search behind the
 small-complex cross-check; `TruncatedComplex` is the validated public value
-of its model.  It takes plain values: the complex, the floors of each level,
-the order N and the window w.  Its model of a level keeps U^a * g for
-floors[g] <= a < N and reads each row straight from `arrows_out`.  The
-floors must span a subcomplex; level floors always do, and
-`reduce_sublevel` checks the ones it is given (on its result they are all
-0, so the model is A_s^- / U^N A_s^-).  A generator has at most one basis
-element per Maslov grading, so rows are generator-numbered: bit g over
-grading m is U^a * g, a = (M(g) - m)/2.  The tower top is the maximal
-grading m with a cycle whose U^w-image is not a boundary.  At each m the
-search takes D, the boundaries of the basis of m, B, the boundaries landing
-in m - 2w, and V, the span of the pairs (de, U^w e) over the basis of m
-together with (0, B).  Projecting V onto its first part has image D and
-kernel 0 x (U^w(cycles) + B), so a surviving cycle exists iff
+of its model.  It takes plain values: the complex, a range of levels
+first..last, the order N and the window w.  Its model of level s is
+A_s^- / U^N A_s^-: it keeps U^a * g for f_s(g) <= a < N and reads each row
+straight from `arrows_out`.  Level floors always span a subcomplex, so
+there are none to check.  A generator has at most one basis element per
+Maslov grading, so rows are generator-numbered: bit g over grading m is
+U^a * g, a = (M(g) - m)/2.  The tower top is the maximal grading m with a
+cycle whose U^w-image is not a boundary.  At each m the search takes D, the
+boundaries of the basis of m, B, the boundaries landing in m - 2w, and V,
+the span of the pairs (de, U^w e) over the basis of m together with (0, B).
+Projecting V onto its first part has image D and kernel
+0 x (U^w(cycles) + B), so a surviving cycle exists iff
 rank V - rank D > rank B.  V_s is minus half the top grading.
 
     Lemma.  At a fixed grading m and order N, the basis of level s is
@@ -148,10 +147,10 @@ rank V - rank D > rank B.  V_s is minus half the top grading.
 
 So one walk per order serves every level: it goes down from the top grading
 of the last level, inserts each basis element of m and of m - 2w + 1 into
-three echelon spaces D, B and V at the first level whose floors admit it,
-and after each level's insertions the ranks are that level's.  Each level
-records the first m where rank V - rank D > rank B, and the walk stops once
-every level has one.  `_truncated_tower_top` is its one-level case.
+three echelon spaces D, B and V at the first level that admits it, level
+max(first, A(g) - a) for U^a * g, and after each level's insertions the
+ranks are that level's.  Each level records the first m where
+rank V - rank D > rank B, and the walk stops once every level has one.
 
 Checks.  Every level is read off its one survivor, and a level that
 reduces to zero or several generators raises.  Complexes of at most
@@ -172,7 +171,6 @@ a complex it is given, whose normalisation it does not check.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -310,27 +308,23 @@ class TruncatedComplex:
 
 
 def _truncated_tower_tops(
-    complex_: BifilteredComplex, floors_list: list[tuple[int, ...]], order: int, window: int
+    complex_: BifilteredComplex, first: int, last: int, order: int, window: int
 ) -> list[int | None]:
-    """Per level, the maximal grading with a cycle surviving U^window, or None; one walk serves all.
-
-    `floors_list` gives the floors of each level, no floor above the level
-    before's, so each level's basis at a grading contains the one before's
-    (module docstring).  The floors are not checked.
-    """
+    """Per level s = first..last, the maximal grading of A_s^- / U^order with a cycle surviving
+    U^window, or None; one walk serves all (module docstring)."""
     gens, arrows_out = complex_.generators, complex_.arrows_out
-    width, count = len(gens), len(floors_list)
-    # The floors of each generator, lowest first: U^a * g first enters at level
-    # count - bisect_right(rising[g], a), the first whose floor is at most a.
-    rising = [sorted(column) for column in zip(*floors_list)]
+    width, count = len(gens), last - first + 1
 
     def grading(m: int) -> list[list[tuple[int, int]]]:
-        """Basis elements (g, a) of grading m by the level they enter at; bit g stands for U^a * g."""
+        """Basis elements (g, a) of grading m by the level they enter at; bit g stands for U^a * g.
+
+        U^a * g lies in A_s^- once f_s(g) = max(0, A(g) - s) <= a: from level A(g) - a on.
+        """
         levels: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for g, (mg, _) in enumerate(gens):
+        for g, (mg, ag) in enumerate(gens):
             a = (mg - m) // 2
-            if (mg - m) % 2 == 0 and rising[g][0] <= a < order:
-                levels[count - bisect_right(rising[g], a)].append((g, a))
+            if (mg - m) % 2 == 0 and 0 <= a < order and ag - a <= last:
+                levels[max(0, ag - a - first)].append((g, a))
         return levels
 
     def row(g: int, a: int) -> int:
@@ -339,7 +333,7 @@ def _truncated_tower_tops(
 
     tops: list[int | None] = [None] * count
     missing = count
-    top = max(mg - 2 * f for (mg, _), f in zip(gens, floors_list[-1]))
+    top = max(mg - 2 * max(0, ag - last) for mg, ag in gens)
     bottom = min(mg for mg, _ in gens) - 2 * (order - 1)
     for m in range(top, bottom - 1, -1):
         # D: the boundaries of the basis of m; B: those landing in m - 2w;
@@ -362,13 +356,6 @@ def _truncated_tower_tops(
         if not missing:
             break
     return tops
-
-
-def _truncated_tower_top(
-    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
-) -> int | None:
-    """Maximal grading with a cycle surviving U^window, or None; the floors are not checked."""
-    return _truncated_tower_tops(complex_, [floors], order, window)[0]
 
 
 def _truncation_order(complex_: BifilteredComplex) -> int:
@@ -455,34 +442,6 @@ def _cancel(
                     out[x].discard(g)
 
 
-def reduce_sublevel(complex_: BifilteredComplex, floors: tuple[int, ...]) -> BifilteredComplex:
-    """The subcomplex spanned by U^a * g, a >= floors[g], with its arrows of exponent <= w cancelled.
-
-    Written in the basis h_g = U^floors[g] * g (module docstring), with w the
-    window of `complex_`.  The result is not homotopy equivalent to A_s^-: each
-    cancellation splits off a summand F_2[U]/U^e, e <= w.  It has the same
-    classes surviving U^w at every truncation, so the tower search returns the
-    same value on it at every order.  The survivors carry Alexander grading 0,
-    which satisfies the filtration law on every arrow.  Raises
-    InternalCheckError if nothing survives.
-    """
-    gens = complex_.generators
-    if len(floors) != len(gens) or any(exact_int(f, _FLOORS) < 0 for f in floors):
-        raise ValidationError("floors must give one non-negative lower U-bound per generator")
-    if any(floors[l] > floors[k] + n for (k, l), n in complex_.differential.items()):
-        raise ValidationError("floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow")
-    gradings = {g: m - 2 * f for g, ((m, _), f) in enumerate(zip(gens, floors))}
-    out, into = _arrows(complex_)
-    _cancel(out, into, gradings, gradings, _window(complex_))
-    if not out:
-        raise InternalCheckError("every generator cancelled: the complex has no U-tower")
-    number = {g: j for j, g in enumerate(out)}
-    return BifilteredComplex(
-        tuple((gradings[g], 0) for g in out),
-        {(number[k], number[l]): gradings[l] - gradings[k] + 1 >> 1 for k in out for l in out[k]},
-    )
-
-
 def _reduced_sublevels(
     complex_: BifilteredComplex, first: int, last: int
 ) -> Iterator[tuple[int, dict[int, int]]]:
@@ -490,9 +449,8 @@ def _reduced_sublevels(
 
     An interval [a, b] cancels the arrows of exponent 0 at both a and b, hence
     on all of it (module docstring), then splits in two; the left half works
-    on a copy.  A single level then cancels what is left up to the window,
-    exactly as `reduce_sublevel` does.  Floors of levels always span a
-    subcomplex, so none is checked.
+    on a copy.  A single level then cancels what is left up to the window.
+    Floors of levels always span a subcomplex, so none is checked.
     """
     gens = complex_.generators
     window = _window(complex_)
@@ -531,14 +489,6 @@ def _stable_top(first: int | None, second: int | None, order: int) -> int:
     return first
 
 
-def _guarded_tower_top(
-    complex_: BifilteredComplex, floors: tuple[int, ...], order: int, window: int
-) -> int:
-    """Tower top computed at orders N and N+1; instability raises, never returns."""
-    first, second = (_truncated_tower_top(complex_, floors, n, window) for n in (order, order + 1))
-    return _stable_top(first, second, order)
-
-
 def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
     """Tower tops of the sublevels A_s^-, s = first..last: each the grading G_s of its one survivor.
 
@@ -552,8 +502,7 @@ def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]
     walks = None
     if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
         order, window = _truncation_order(complex_), _window(complex_)
-        floors = [tuple(max(0, a - s) for _, a in complex_.generators) for s, _ in levels]
-        walks = [_truncated_tower_tops(complex_, floors, n, window) for n in (order, order + 1)]
+        walks = [_truncated_tower_tops(complex_, first, last, n, window) for n in (order, order + 1)]
     tops = []
     for i, (s, survivors) in enumerate(levels):
         if len(survivors) != 1:

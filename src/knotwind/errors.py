@@ -1,10 +1,11 @@
-"""Exception types, and the one exact-input rule: `exact_int` and `exact_rational`.
+"""Exception types, and the one exact-input rule: `exact_int`, `exact_rational`, `decimal_int`.
 
 Every integer input of the package is an int and every rational input an
 int, a Fraction or a string that parses exactly; bools and floats are
 neither, and raise `ValidationError` instead of being rounded or converted.
-The message, built only on failure, is "<what>, got <value!r>", or what()
-when `what` is callable.
+An integer given as text is an optional '-' and ASCII digits, as in knot
+expressions.  The message, built only on failure, is "<what>, got
+<value!r>", or what() when `what` is callable.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def exact_int(value: object, what, low: int | None = None) -> int:
     if is_int and (low is None or value >= low):  # the class test first: plain ints are hot
         return value
     raise ValidationError(what() if callable(what) else f"{what}, got {value!r}")
+
+
+def decimal_int(text: str, what) -> int:
+    """`text` as an int if, surrounding whitespace aside, it is an optional '-' and ASCII digits.
+
+    int() alone also reads '+3', '1_0' and the digits of other scripts.
+    """
+    digits = text.strip().removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    raise ValidationError(what() if callable(what) else f"{what}, got {text!r}")
 
 
 def exact_rational(value: object, what) -> Fraction:

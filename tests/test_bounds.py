@@ -134,6 +134,10 @@ def test_essential_input_validation():
     for key in ("x", 1.0, True):
         with pytest.raises(ValidationError, match="integer residue"):
             EssentialInput(2, {0: 0, key: 0, 2: 0, 3: 0})
+    # String keys follow the ASCII rule of knot expressions: int() would read each of these.
+    for key in ("\u0660", "1_0", "+1"):
+        with pytest.raises(ValidationError, match="integer residue"):
+            EssentialInput(2, {key: 0, "1": 0, "2": 0, "3": 0})
 
 
 def test_each_v0_is_computed_once(monkeypatch):

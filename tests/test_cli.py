@@ -234,6 +234,16 @@ def test_cli_validation_errors_and_exit_codes():
     assert json.loads(out)["error"]["kind"] == "validation"
     status, _, _ = run(["dinv", "T(2,3)", "--n", "0", "--i", "0", "--format", "json"])
     assert status == 2
+    # Integers follow the ASCII rule of knot expressions: int() would read each of these.
+    for argv in (
+        ["dinv", "T(2,3)", "--n", "1_0", "--i", "0"],
+        ["dinv", "T(2,3)", "--n", "3", "--i", "\u0660"],
+        ["ncf", "eval", "\u0664,2"],
+        ["examples", "kn", "--n", "+1"],
+    ):
+        status, out, _ = run([*argv, "--no-cache", "--format", "json"])
+        assert status == 2, argv
+        assert json.loads(out)["error"]["kind"] == "validation", argv
     status, _, _ = run([])
     assert status == 2
     status, _, _ = run(["nonsense"])
@@ -258,7 +268,11 @@ def test_cache_rejects_version_mismatch_and_corruption(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert cache_load(path) == {}
     path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": "bad"}}))
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,3\)'"):
+        assert cache_load(path) == {}
+    # A key that does not parse is malformed too, not a stale V-sequence.
+    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,4)": [1, 0], "T(2,3)": [1, 0]}}))
+    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,4\)'"):
         assert cache_load(path) == {}
 
 

@@ -379,18 +379,6 @@ ORACLE_COMPLEXES = {
 }
 
 
-def random_subcomplex_floors(chain, rng, high):
-    """Random floors in [0, high], lowered along arrows until they span a subcomplex."""
-    floors = [rng.randint(0, high) for _ in chain.generators]
-    changed = True
-    while changed:
-        changed = False
-        for (k, l), n in chain.differential.items():
-            if floors[l] > floors[k] + n:
-                floors[l], changed = floors[k] + n, True
-    return tuple(floors)
-
-
 def sublevel_complex(chain, floors):
     """A_s^- uncancelled, in its basis h_g = U^floors[g] * g: generators (M - 2f, 0),
     arrow exponents f(k) + n - f(l)."""
@@ -400,37 +388,35 @@ def sublevel_complex(chain, floors):
     )
 
 
+def searched_top(chain, s, order, window):
+    """Level s searched alone and unreduced at orders N and N+1; instability raises."""
+    from knotwind.complexes import _stable_top, _truncated_tower_tops
+
+    first, second = (_truncated_tower_tops(chain, s, s, n, window)[0] for n in (order, order + 1))
+    return _stable_top(first, second, order)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 def test_tower_top_matches_brute_force(name):
-    from knotwind.complexes import _truncated_tower_top, _truncation_order, reduce_sublevel
+    from knotwind.complexes import _reduced_sublevels, _truncated_tower_tops, _truncation_order
 
     chain = ORACLE_COMPLEXES[name]
     assert chain.n_generators <= 9
     window = chain.alexander_radius + 1
     order = _truncation_order(chain)
-    for s in range(chain.alexander_radius + 1):
+    for s, survivors in _reduced_sublevels(chain, 0, chain.alexander_radius):
+        (read,) = survivors.values()
         floors = tuple(max(0, a - s) for _, a in chain.generators)
-        reduced = reduce_sublevel(chain, floors)
-        assert all(e > window for e in reduced.differential.values()), s
         for n in (order, order + 1):
-            got = _truncated_tower_top(chain, floors, n, window)
-            assert got == brute_tower_top(chain, floors, n, window), (s, n)
-            assert got is not None
-            assert _truncated_tower_top(reduced, (0,) * reduced.n_generators, n, window) == got, (s, n)
+            assert _truncated_tower_tops(chain, s, s, n, window) == [read], (s, n)
+            assert brute_tower_top(chain, floors, n, window) == read, (s, n)
         # Cancelling arrows of exponent <= window keeps the U^window-surviving
-        # classes of A_s^- / U^n at every order n, not only at N and N+1.
+        # classes of A_s^- / U^n at every order n, not only at N and N+1: the
+        # one survivor has a class surviving U^window iff n > window.
         sublevel = sublevel_complex(chain, floors)
         zeros = (0,) * sublevel.n_generators
         for n in range(1, order + 2):
-            assert _truncated_tower_top(reduced, (0,) * reduced.n_generators, n, window) == (
-                brute_tower_top(sublevel, zeros, n, window)
-            ), (s, n)
-    rng = random.Random(name)
-    for _ in range(12):
-        floors = random_subcomplex_floors(chain, rng, order + 1)
-        for n in (order, order + 1):
-            got = _truncated_tower_top(chain, floors, n, window)
-            assert got == brute_tower_top(chain, floors, n, window), (floors, n)
+            assert brute_tower_top(sublevel, zeros, n, window) == (read if n > window else None), (s, n)
 
 
 def assert_one_walk_matches_brute_force(chain, orders):
@@ -441,7 +427,7 @@ def assert_one_walk_matches_brute_force(chain, orders):
     levels = range(chain.alexander_radius + 1)
     floors = [tuple(max(0, a - s) for _, a in chain.generators) for s in levels]
     for n in orders:
-        walk = _truncated_tower_tops(chain, floors, n, window)
+        walk = _truncated_tower_tops(chain, levels[0], levels[-1], n, window)
         assert walk == [brute_tower_top(chain, f, n, window) for f in floors], n
 
 
@@ -455,6 +441,20 @@ def test_one_walk_matches_brute_force_at_every_level(expr):
     assert_one_walk_matches_brute_force(chain, (order, order + 1))
 
 
+@given(small_sums)
+def test_walk_over_a_level_range_matches_the_full_walk(expr):
+    from knotwind.complexes import _CROSS_CHECK_GENERATORS, _truncated_tower_tops, _truncation_order
+
+    chain = complex_of(expr)
+    assume(chain.n_generators <= _CROSS_CHECK_GENERATORS)  # the complexes the walk serves
+    order, window, g = _truncation_order(chain), chain.alexander_radius + 1, expr.genus
+    for n in (order, order + 1):
+        full = _truncated_tower_tops(chain, 0, g, n, window)
+        for a in range(g + 1):
+            for b in range(a, g + 1):
+                assert _truncated_tower_tops(chain, a, b, n, window) == full[a : b + 1], (a, b, n)
+
+
 @pytest.mark.parametrize("text", ["-T(5,6)", "-T(6,7)", "-T(4,7)", "T(2,3) # -T(2,3)"])
 def test_one_walk_matches_brute_force_at_every_order(text):
     from knotwind.complexes import _truncation_order
@@ -464,23 +464,22 @@ def test_one_walk_matches_brute_force_at_every_order(text):
 
 
 def test_reduction_keeps_arrows_above_the_window():
-    from knotwind.complexes import _truncated_tower_top, reduce_sublevel
+    from knotwind.complexes import _reduced_sublevels, _truncated_tower_tops
 
     # U^2 * g2 bounds: g2 is U-torsion of order 2, above the window 1, so it
     # counts as surviving and its arrow must not be cancelled.
     chain = BifilteredComplex(((0, 0), (1, 0), (4, 0)), {(1, 2): 2})
     window = chain.alexander_radius + 1
     assert window == 1
-    reduced = reduce_sublevel(chain, (0, 0, 0))
-    assert reduced.differential == {(1, 2): 2}
+    assert list(_reduced_sublevels(chain, 0, 0)) == [(0, {0: 0, 1: 1, 2: 4})]
     for n in (3, 4, 5):
-        assert _truncated_tower_top(reduced, (0, 0, 0), n, window) == 4, n
+        assert _truncated_tower_tops(chain, 0, 0, n, window) == [4], n
         assert brute_tower_top(chain, (0, 0, 0), n, window) == 4, n
 
 
 @pytest.mark.parametrize("text", ["T(3,7) # -T(2,11)", "-T(3,7) # -T(2,5)", "T(2,11) # -T(2,11)"])
 def test_reduced_search_matches_sublevel_complex_above_cross_check_size(text):
-    from knotwind.complexes import _CROSS_CHECK_GENERATORS, _guarded_tower_top, _tower_tops, _truncation_order
+    from knotwind.complexes import _CROSS_CHECK_GENERATORS, _tower_tops, _truncation_order
 
     chain = complex_of(parse_knot_expr(text))
     assert chain.n_generators > _CROSS_CHECK_GENERATORS
@@ -488,45 +487,38 @@ def test_reduced_search_matches_sublevel_complex_above_cross_check_size(text):
     swept = _tower_tops(chain, 0, chain.alexander_radius)
     for s in range(chain.alexander_radius + 1):
         floors = tuple(max(0, a - s) for _, a in chain.generators)
-        sublevel = sublevel_complex(chain, floors)
-        direct = _guarded_tower_top(sublevel, (0,) * sublevel.n_generators, order, window)
-        assert swept[s] == direct, s
+        sublevel = sublevel_complex(chain, floors)  # Alexander gradings 0: every floor 0 at level 0
+        assert swept[s] == searched_top(sublevel, 0, order, window), s
 
 
 @given(small_sums)
 def test_reduced_and_unreduced_tower_tops_agree(expr):
-    from knotwind.complexes import _guarded_tower_top, _tower_tops, _truncation_order
+    from knotwind.complexes import _tower_tops, _truncation_order
 
     chain = complex_of(expr)
     order, window = _truncation_order(chain), chain.alexander_radius + 1
     swept = _tower_tops(chain, 0, expr.genus)
     for s in range(expr.genus + 1):
-        floors = tuple(max(0, a - s) for _, a in chain.generators)
-        assert swept[s] == _guarded_tower_top(chain, floors, order, window), s
+        assert swept[s] == searched_top(chain, s, order, window), s
 
 
 @given(small_sums)
 def test_sweep_matches_per_level_reduction(expr):
-    from knotwind.complexes import _guarded_tower_top, _reduced_sublevels, _truncation_order, reduce_sublevel
+    from knotwind.complexes import _reduced_sublevels
 
     chain = complex_of(expr)
-    order, window = _truncation_order(chain), chain.alexander_radius + 1
     levels = range(expr.genus + 2)  # the last level has every floor 0
     swept = list(_reduced_sublevels(chain, levels[0], levels[-1]))
     assert [s for s, _ in swept] == list(levels)
     for s, survivors in swept:
-        floors = tuple(max(0, a - s) for _, a in chain.generators)
-        per_level = reduce_sublevel(chain, floors)
-        assert per_level.generators == tuple((m, 0) for m in survivors.values()), s
-        assert per_level.differential == {}, s
-        (read,) = survivors.values()
-        for n in (order, order + 1):
-            assert read == _guarded_tower_top(per_level, (0,) * per_level.n_generators, n, window), (s, n)
-            assert read == _guarded_tower_top(chain, floors, n, window), (s, n)
+        assert len(survivors) == 1, s
+        # Gradings, not generator numbers: the two may keep different survivors.
+        ((alone, per_level),) = _reduced_sublevels(chain, s, s)
+        assert alone == s and list(per_level.values()) == list(survivors.values()), s
 
 
 def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
-    from knotwind.complexes import _arrows, _cancel, _reduced_sublevels, reduce_sublevel
+    from knotwind.complexes import _arrows, _cancel, _reduced_sublevels
 
     # 0->1 is horizontal (n = 1, A rises by 1): exponent 0 at level 0, 1 at level 1.
     # 2->3 is vertical (n = 0, A falls by 1): exponent 1 at level 0, 0 at level 1.
@@ -549,9 +541,8 @@ def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
         assert set(out) == {0, 1, 2, 3, 4} - cancelled, s
     # Each level then cancels its own exponent-0 arrow; the window (2) takes the other.
     for s, survivors in _reduced_sublevels(chain, 0, 1):
-        floors = tuple(max(0, a - s) for _, a in chain.generators)
         assert survivors == {4: 0}, s
-        assert reduce_sublevel(chain, floors) == BifilteredComplex(((0, 0),)), s
+        assert list(_reduced_sublevels(chain, s, s)) == [(s, {4: 0})], s
 
 
 @pytest.mark.parametrize(

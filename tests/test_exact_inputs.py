@@ -6,7 +6,6 @@ import pytest
 
 import knotwind as K
 from knotwind.cli import fraction_str
-from knotwind.complexes import reduce_sublevel
 from knotwind.errors import exact_int, exact_rational
 from knotwind.surgery import dtw_zero
 
@@ -49,8 +48,6 @@ COERCED = {
     "BifilteredComplex float exponent": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): 0.0}),
     "BifilteredComplex bool exponent": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): False}),
     "TruncatedComplex bool floors": lambda: K.TruncatedComplex(CHAIN, 3, (True, 0, 0)),
-    "reduce_sublevel bool floors": lambda: reduce_sublevel(CHAIN, (True, 0, 0)),
-    "reduce_sublevel float floors": lambda: reduce_sublevel(CHAIN, (1.0, 0, 0)),
     "v_at bool on the homology route": lambda: K.v_at(MIXED, False),
     "SpincLabel bool index": lambda: K.SpincLabel(3, True),
     "SpincLabel bool coefficient": lambda: K.SpincLabel(True, 0),
@@ -87,8 +84,7 @@ REJECTED = {
     "summand sign must be +1 or -1, got 0": lambda: K.KnotExpression(((T(2, 3), 0),)),
     "U-exponent on arrow 0->1 is negative": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): -1}),
     "floors must be non-negative": lambda: K.TruncatedComplex(CHAIN, 3, (-1, 0, 0)),
-    "floors must give one non-negative lower U-bound per generator": lambda: reduce_sublevel(CHAIN, (-1, 0, 0)),
-    "floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow": lambda: reduce_sublevel(CHAIN, (0, 0, 2)),
+    "floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow": lambda: K.TruncatedComplex(CHAIN, 3, (0, 0, 2)),
     "spin^c index must satisfy 0 <= i < n, got i=1.5, n=3": lambda: K.SpincLabel(3, 1.5),
     "spin^c index must satisfy 0 <= i < n, got i=-1, n=3": lambda: K.SpincLabel(3, -1),
     "coefficients must be integers >= 2, got 1": lambda: K.ncf_eval([3, 1]),
