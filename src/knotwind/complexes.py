@@ -10,6 +10,11 @@ construction time:
     grading law:   M(g_l) - 2n = M(g_k) - 1 on every entry,
     filtration:    A(g_l) - n <= A(g_k) on every entry.
 
+Square zero is checked last, in its parity form: every pair (k, m) has an
+even number of 2-paths k->l->m.  Once the grading law holds, every 2-path
+from k to m carries U^(n1 + n2) with n1 + n2 = (M(g_m) - M(g_k) + 2)/2, so
+the composite's (k, m) entry is that count mod 2 times one fixed power of U.
+
 The homological normalisation (the U-non-torsion tower of the full complex
 tops out at Maslov grading 0) is available as `tower_top`.  `complex_of`
 builds the complex of an expression in one construction: it folds the raw
@@ -70,11 +75,16 @@ at level s, so one adjacency, without exponents, describes every level.
 `_reduced_sublevels` sweeps the levels of a V-sequence this way: an
 interval cancels every arrow of exponent 0 at both ends, toggled ones
 included, then splits in two; an arrow of exponent 0 at one end only is
-left to the halves.  A single level cancels what is left up to the window,
-least exponent first, through the same `_cancel` step (Reduction), and
-yields its survivors with their gradings G_s.  Level floors always span
-a subcomplex (f_s(l) <= f_s(k) + n by the filtration law), so the sweep
-checks none.
+left to the halves.  The interval step is Gaussian elimination only: e_s = 0
+iff G_s(l) - G_s(k) = -1, so it takes k->l, and each x->y it toggles in,
+exactly when that difference is -1 at both ends, and needs no exponents.
+Each level's gradings G_s are computed once, as a list over the generators:
+an interval hands the gradings of its two ends down to the halves that share
+them, and computes only those of its middle levels mid and mid + 1.  A
+single level cancels what is left up to the window, least exponent first,
+through the same `_cancel` step (Reduction), and yields its survivors with
+their gradings G_s.  Level floors always span a subcomplex
+(f_s(l) <= f_s(k) + n by the filtration law), so the sweep checks none.
 
 Reading a level.  The tower top of A_s^- is read off the reduction:
 
@@ -175,7 +185,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InternalCheckError, TruncationInstabilityError, ValidationError, exact_int
 from .gf2 import BitSpace
@@ -204,18 +214,17 @@ class BifilteredComplex:
 
     def __post_init__(self) -> None:
         # Each `x.__class__ is int` test only spares the call to exact_int.
-        gens = tuple(
+        gens = tuple([
             (
                 m if m.__class__ is int else exact_int(m, _GRADINGS),
                 a if a.__class__ is int else exact_int(a, _GRADINGS),
             )
             for m, a in self.generators
-        )
+        ])
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise ValidationError("a complex needs at least one generator")
         count = len(gens)
-        diff: dict[tuple[int, int], int] = {}
         out: list[list[tuple[int, int]]] = [[] for _ in gens]
         for (k, l), n in self.differential.items():
             if not (
@@ -225,33 +234,33 @@ class BifilteredComplex:
                 raise ValidationError(f"differential entry ({k},{l}) is out of range")
             if (n if n.__class__ is int else exact_int(n, "U-exponents must be integers")) < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
-            diff[(k, l)] = n
             out[k].append((l, n))
-        object.__setattr__(self, "differential", diff)
-        object.__setattr__(self, "arrows_out", tuple(map(tuple, out)))
+        arrows_out = tuple(map(tuple, out))
+        object.__setattr__(self, "differential", dict(self.differential))
+        object.__setattr__(self, "arrows_out", arrows_out)
         object.__setattr__(self, "alexander_radius", max(abs(a) for _, a in gens))
-        for (k, l), n in diff.items():
+        for k, arrows in enumerate(arrows_out):
             mk, ak = gens[k]
-            ml, al = gens[l]
-            if ml - 2 * n != mk - 1:
-                raise ValidationError(
-                    f"grading law broken on arrow {k}->{l}: M_l - 2n = {ml - 2 * n}, M_k - 1 = {mk - 1}"
-                )
-            if al - n > ak:
-                raise ValidationError(
-                    f"filtration law broken on arrow {k}->{l}: A_l - n = {al - n} > A_k = {ak}"
-                )
+            for l, n in arrows:
+                ml, al = gens[l]
+                if ml - 2 * n != mk - 1:
+                    raise ValidationError(
+                        f"grading law broken on arrow {k}->{l}: M_l - 2n = {ml - 2 * n}, M_k - 1 = {mk - 1}"
+                    )
+                if al - n > ak:
+                    raise ValidationError(
+                        f"filtration law broken on arrow {k}->{l}: A_l - n = {al - n} > A_k = {ak}"
+                    )
         self._check_square_zero()
 
     def _check_square_zero(self) -> None:
-        out = self.arrows_out
-        acc: dict[tuple[int, int, int], int] = {}
-        for k, arrows in enumerate(out):
-            for l, n1 in arrows:
-                for m, n2 in out[l]:
-                    key = (k, m, n1 + n2)
-                    acc[key] = acc.get(key, 0) ^ 1
-        if any(acc.values()):
+        """Every (k, m) has an even number of 2-paths k->l->m (parity form, module docstring)."""
+        out, count = self.arrows_out, len(self.generators)
+        # Sorted, a list has every value an even number of times iff it pairs
+        # off into equal neighbours.
+        ends = [k * count + m for k, arrows in enumerate(out) for l, _ in arrows for m, _ in out[l]]
+        ends.sort()
+        if ends[::2] != ends[1::2]:
             raise ValidationError("differential does not square to zero over F_2[U]")
 
     @property
@@ -375,37 +384,47 @@ def _window(complex_: BifilteredComplex) -> int:
 
 
 def _arrows(complex_: BifilteredComplex) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-    """The adjacency of `complex_` without exponents: out[k] and into[l] for every generator."""
-    out: dict[int, set[int]] = {g: set() for g in range(complex_.n_generators)}
-    into: dict[int, set[int]] = {g: set() for g in range(complex_.n_generators)}
+    """The adjacency of `complex_` without exponents: out[k] and into[l] for every generator.
+
+    Filled in the order of `differential`, which fixes the order in which
+    `_cancel` visits the sources of an arrow, and so which arrows it cancels.
+    """
+    out: list[set[int]] = [set() for _ in complex_.generators]
+    into: list[set[int]] = [set() for _ in complex_.generators]
     for k, l in complex_.differential:
         out[k].add(l)
         into[l].add(k)
-    return out, into
+    return dict(enumerate(out)), dict(enumerate(into))
 
 
 def _cancel(
-    out: dict[int, set[int]], into: dict[int, set[int]], low: dict[int, int], high: dict[int, int], limit: int
+    out: dict[int, set[int]], into: dict[int, set[int]], low: list[int], high: list[int], limit: int
 ) -> None:
-    """Cancel, least exponent first, every arrow of exponent at most `limit` at both levels.
+    """Cancel the arrows of exponent 0 at two levels (`limit` 0), or of exponent at most `limit` at one.
 
     `low` and `high` are the reduced gradings G_a, G_b of the two ends of an
-    interval of levels (the same mapping for one level).  The exponent of k->l at
-    level s is (G_s[l] - G_s[k] + 1) / 2, monotone in s, so its maximum over
-    the interval is the larger of its values at the two ends.
+    interval of levels, indexed by generator; the exponent of k->l at level s
+    is (G_s[l] - G_s[k] + 1) / 2.  With `limit` 0 this is Gaussian elimination
+    of every k->l with G[l] - G[k] = -1 at both ends.  A positive `limit` is the
+    single-level step, `high` the same gradings as `low`, least exponent first.
     """
 
-    single = low is high
+    eliminate = not limit
     queued: list[list[tuple[int, int]]] = [[] for _ in range(limit + 1)]  # arrows by exponent
-    for k, targets in out.items():
-        lowk, highk = low[k], high[k]
-        for l in targets:
-            d = low[l] - lowk
-            if not single and high[l] - highk > d:
-                d = high[l] - highk
-            e = d + 1 >> 1
-            if e <= limit:
-                queued[e].append((k, l))
+    if eliminate:
+        bucket = queued[0]
+        for k, targets in out.items():
+            lowk, highk = low[k] - 1, high[k] - 1
+            for l in targets:
+                if low[l] == lowk and high[l] == highk:
+                    bucket.append((k, l))
+    else:
+        for k, targets in out.items():
+            lowk = low[k]
+            for l in targets:
+                e = low[l] - lowk + 1 >> 1
+                if e <= limit:
+                    queued[e].append((k, l))
     # Drained in rising exponent order, so the arrow k->l taken has the least
     # exponent e left: every x->l and k->y has exponent a, b >= e, and each
     # toggled exponent a + b - e >= e lands in this bucket or a later one.
@@ -421,7 +440,7 @@ def _cancel(
                 for x in sources:
                     if x == k:
                         continue
-                    ox, lowx, highx = out[x], low[x], high[x]
+                    ox, lowx, highx = out[x], low[x] - 1, high[x] - 1
                     for y in targets:
                         if y in ox:
                             ox.remove(y)
@@ -429,12 +448,13 @@ def _cancel(
                         else:
                             ox.add(y)
                             into[y].add(x)
-                            d = low[y] - lowx
-                            if not single and high[y] - highx > d:
-                                d = high[y] - highx
-                            e = d + 1 >> 1
-                            if e <= limit:
-                                queued[e].append((x, y))
+                            if eliminate:
+                                if low[y] == lowx and high[y] == highx:
+                                    bucket.append((x, y))
+                            else:
+                                e = low[y] - lowx >> 1
+                                if e <= limit:
+                                    queued[e].append((x, y))
             for g in (k, l):
                 for y in out.pop(g):
                     into[y].discard(g)
@@ -450,25 +470,29 @@ def _reduced_sublevels(
     An interval [a, b] cancels the arrows of exponent 0 at both a and b, hence
     on all of it (module docstring), then splits in two; the left half works
     on a copy.  A single level then cancels what is left up to the window.
-    Floors of levels always span a subcomplex, so none is checked.
+    Each level's gradings are computed once: a half takes the gradings of
+    the end it shares with its interval.  Floors of levels always span a
+    subcomplex, so none is checked.
     """
     gens = complex_.generators
     window = _window(complex_)
 
-    def gradings(s: int, alive: Iterable[int]) -> dict[int, int]:
-        """Reduced gradings G_s(g) = M(g) - 2 max(0, A(g) - s) of the generators left."""
-        return {g: m - 2 * (a - s) if a > s else m for g in alive for m, a in (gens[g],)}
+    def gradings(s: int) -> list[int]:
+        """Reduced gradings G_s(g) = M(g) - 2 max(0, A(g) - s), indexed by generator."""
+        return [m - 2 * (a - s) if a > s else m for m, a in gens]
 
-    out, into = _arrows(complex_)
-    stack = [(first, last, out, into)]
+    low = gradings(first)
+    stack = [(first, last, low, gradings(last) if first < last else low, *_arrows(complex_))]
     while stack:
-        a, b, out, into = stack.pop()
-        low = gradings(a, out)
+        a, b, low, high, out, into = stack.pop()
         if a < b:
-            _cancel(out, into, low, gradings(b, out), 0)
+            _cancel(out, into, low, high, 0)
             mid = (a + b) // 2
-            stack.append((mid + 1, b, out, into))
-            stack.append((a, mid, {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()}))
+            stack.append((mid + 1, b, gradings(mid + 1) if mid + 1 < b else high, high, out, into))
+            stack.append((
+                a, mid, low, gradings(mid) if a < mid else low,
+                {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()},
+            ))
         else:
             _cancel(out, into, low, low, window)
             yield a, {g: low[g] for g in out}

@@ -4,8 +4,9 @@ Every integer input of the package is an int and every rational input an
 int, a Fraction or a string that parses exactly; bools and floats are
 neither, and raise `ValidationError` instead of being rounded or converted.
 An integer given as text is an optional '-' and ASCII digits, as in knot
-expressions.  The message, built only on failure, is "<what>, got
-<value!r>", or what() when `what` is callable.
+expressions, and a rational given as text is ASCII without '_'.  The
+message, built only on failure, is "<what>, got <value!r>", or what() when
+`what` is callable.
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ def decimal_int(text: str, what) -> int:
 
 
 def exact_rational(value: object, what) -> Fraction:
-    """`value` as a Fraction: a Fraction, a string parsed exactly, or an int (not a bool)."""
-    if isinstance(value, (Fraction, str)):
+    """`value` as a Fraction: a Fraction, a string parsed exactly, or an int (not a bool).
+
+    Fraction() alone also reads '1_5/2' and the digits of other scripts.
+    """
+    if isinstance(value, Fraction) or isinstance(value, str) and value.isascii() and "_" not in value:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -234,11 +234,14 @@ def test_cli_validation_errors_and_exit_codes():
     assert json.loads(out)["error"]["kind"] == "validation"
     status, _, _ = run(["dinv", "T(2,3)", "--n", "0", "--i", "0", "--format", "json"])
     assert status == 2
-    # Integers follow the ASCII rule of knot expressions: int() would read each of these.
+    # Integers and rationals follow the ASCII rule of knot expressions: int() or
+    # Fraction() would read each of these.
     for argv in (
         ["dinv", "T(2,3)", "--n", "1_0", "--i", "0"],
         ["dinv", "T(2,3)", "--n", "3", "--i", "\u0660"],
         ["ncf", "eval", "\u0664,2"],
+        ["ncf", "expand", "\u0667/2"],  # Fraction() reads it as 7/2
+        ["ncf", "expand", "1_5/2"],  # and this as 15/2
         ["examples", "kn", "--n", "+1"],
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])

@@ -545,6 +545,74 @@ def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():
         assert list(_reduced_sublevels(chain, s, s)) == [(s, {4: 0})], s
 
 
+def f2_rank(rows):
+    """Rank over F_2 of integer bit rows, by elimination on the leading bit."""
+    pivots = {}
+    for row in rows:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
+
+
+@given(small_sums, st.data())
+def test_interval_step_cancels_exactly_the_arrows_of_exponent_zero_at_both_ends(expr, data):
+    from knotwind.complexes import _arrows, _cancel
+
+    chain = complex_of(expr)
+    gens = chain.generators
+    a = data.draw(st.integers(0, expr.genus), label="a")
+    b = data.draw(st.integers(a + 1, expr.genus + 1), label="b")
+
+    def exponent(k, l, n, s):
+        """The exponent n + f_s(k) - f_s(l) of k->l in A_s^-, by definition."""
+        return n + max(0, gens[k][1] - s) - max(0, gens[l][1] - s)
+
+    def gradings(s):
+        return [m - 2 * max(0, al - s) for m, al in gens]
+
+    # The arrows of exponent 0 at both ends form a differential d_0 (exponents
+    # are non-negative and add along 2-paths).  Gaussian elimination of all of
+    # it, in any order, leaves n - 2 rank d_0 generators and no such arrow.
+    rows = {}
+    for (k, l), n in chain.differential.items():
+        if exponent(k, l, n, a) == exponent(k, l, n, b) == 0:
+            rows[k] = rows.get(k, 0) | 1 << l
+    out, into = _arrows(chain)
+    _cancel(out, into, gradings(a), gradings(b), 0)
+    assert len(out) == chain.n_generators - 2 * f2_rank(rows.values())
+    for k, targets in out.items():
+        for l in targets:
+            n = (gens[l][0] - gens[k][0] + 1) // 2  # toggled arrows too: the grading law fixes n
+            assert exponent(k, l, n, a) or exponent(k, l, n, b), (k, l)
+
+
+def test_interval_step_cancels_the_arrows_it_toggles():
+    from knotwind.complexes import _arrows, _cancel
+
+    # x->l, k->l and k->y, all of exponent 0 (x, k, y, l = 0, 1, 2, 3):
+    # cancelling k->l, taken first, toggles x->y, which must be cancelled too.
+    chain = BifilteredComplex(((0, 0), (0, 0), (-1, 0), (-1, 0)), {(0, 3): 0, (1, 2): 0, (1, 3): 0})
+    gradings = [m for m, _ in chain.generators]  # every floor is 0
+    out, into = _arrows(chain)
+    _cancel(out, into, gradings, gradings, 0)
+    assert out == {} and into == {}
+
+
+def test_square_zero_is_the_parity_of_two_paths():
+    # k -> l1 -> m and k -> l2 -> m, with U-exponents 1 + 0 and 0 + 1.
+    gens = ((0, 1), (1, 0), (-1, 0), (0, -1))
+    square = {(0, 1): 1, (1, 3): 0, (0, 2): 0, (2, 3): 1}
+    BifilteredComplex(gens, square)
+    lone = {key: n for key, n in square.items() if key != (2, 3)}
+    with pytest.raises(ValidationError, match="square"):
+        BifilteredComplex(gens, lone)
+    # Two 2-paths in all, but one from k to each of m1 and m2.
+    with pytest.raises(ValidationError, match="square"):
+        BifilteredComplex(((0, 0), (-1, 0), (-1, 0), (-2, 0), (-2, 0)), {(0, 1): 0, (1, 3): 0, (0, 2): 0, (2, 4): 0})
+
+
 @pytest.mark.parametrize(
     "chain, count",
     [

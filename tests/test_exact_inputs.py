@@ -114,6 +114,6 @@ def test_the_two_helpers():
     assert exact_rational(" -2/6 ", "d") == Fraction(-1, 3)
     assert exact_rational("0.5", "d") == Fraction(1, 2)  # a decimal string is exact
     assert exact_rational(Fraction(1, 3), "d") == Fraction(1, 3)
-    for bad in (True, 0.5, "1/0", "nan", "abc", None, [1]):
+    for bad in (True, 0.5, "1/0", "nan", "abc", None, [1], "\u0663/2", "1_5/2"):
         with pytest.raises(K.ValidationError, match="^d, got "):
             exact_rational(bad, "d")
