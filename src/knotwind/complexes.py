@@ -86,6 +86,34 @@ through the same `_cancel` step (Reduction), and yields its survivors with
 their gradings G_s.  Level floors always span a subcomplex
 (f_s(l) <= f_s(k) + n by the filtration law), so the sweep checks none.
 
+The sweep reads the last level first, down the right spine of intervals,
+keeping each left half on its copy; then it takes the left halves from the
+outermost in, so the other levels come left to right.  It is lazy, and
+`_tower_tops` stops reading once a level's top equals the last level's:
+
+    Lemma (sandwich).  If levels s < t each reduce to one survivor, every
+    level u of [s, t] has one U-tower, and top_s <= top_u <= top_t; in
+    general top_s <= top_t <= top_s + 2(t - s).  So top_s = top_t fixes the
+    top of every level between them.
+    Sketch.  f_u(g) - 1 <= f_(u+1)(g) <= f_u(g), so U * A_(u+1)^- lies in
+    A_u^-, which lies in A_(u+1)^-.  Inverting U turns every A_u^- into
+    C[U^-1], so the free part of the homology has the same rank at every
+    level: one, as at s (Reading a level, below).  The inclusion of A_u^-
+    into A_v^-, u < v, keeps gradings and is the identity once U is
+    inverted, so it is injective on the free part: it takes the tower's top
+    class to a non-torsion class, which is U^j times the top class of A_v^-
+    plus torsion, so top_u <= top_v.  Multiplication by U^(v-u) maps A_v^-
+    into A_u^-, lowering gradings by 2(v - u), and composed with the
+    inclusion it is U^(v-u), again injective on the free part; so
+    top_v - 2(v - u) <= top_u.
+
+This is the step law V_s - V_(s+1) in {0, 1} (Ni-Wu, "Cosmetic surgeries on
+knots in S^3", 2015; Rasmussen, thesis 2003) for any such complex: it needs
+neither a knot nor V_g = 0.  The V-sequences of mixed and mirrored sums
+mostly end in a long run of zeros, and the sweep reduces only the levels
+before that run, its first level and the last.  A positive sum has
+V_(g-1) = 1, so there it reduces every level.
+
 Reading a level.  The tower top of A_s^- is read off the reduction:
 
     Lemma.  If one generator h survives the reduction of A_s^-, the U-tower
@@ -162,21 +190,24 @@ max(first, A(g) - a) for U^a * g, and after each level's insertions the
 ranks are that level's.  Each level records the first m where
 rank V - rank D > rank B, and the walk stops once every level has one.
 
-Checks.  Every level is read off its one survivor, and a level that
-reduces to zero or several generators raises.  Complexes of at most
+Checks.  Every level the sweep reduces is read off its one survivor, and a
+level that reduces to zero or several generators raises.  A level that the
+sandwich lemma fixes is not reduced, so it gets no survivor count of its
+own; its top is the theorem's.  Complexes of at most
 `_CROSS_CHECK_GENERATORS` generators are also searched unreduced, at the
 truncation orders N and N+1, by one walk per order that serves every level
-(Tower search): the two searches must agree with each other and with the
-read at each level, and a disagreement raises, never returns.  Only the
-search needs a second order, since the read is exact while a truncated
-model can miss the tower: for T(2,9) at s = 0 the read gives -4, and the
-unreduced search at order 7 finds no surviving class.  Every top must be
-an even non-positive grading.  On the homology route `v_sequence` checks
-V_g = 0 for the genus g: at level g every floor is 0, so V_g is minus half
-the tower top of the whole complex, and this one check covers the
-normalisation of every staircase, dual and tensor in the sum.  `v_at` reads
-`v_sequence`, so V_g = 0 guards every value it returns; `v_invariant` reads
-a complex it is given, whose normalisation it does not check.
+(Tower search), sandwiched levels included: the two searches must agree
+with each other and with the top of each level, and a disagreement raises,
+never returns.  Only the search needs a second order, since the read is
+exact while a truncated model can miss the tower: for T(2,9) at s = 0 the
+read gives -4, and the unreduced search at order 7 finds no surviving
+class.  Every top must be an even non-positive grading.  On the homology
+route `v_sequence` checks V_g = 0 for the genus g: at level g every floor
+is 0, so V_g is minus half the tower top of the whole complex, and this one
+check covers the normalisation of every staircase, dual and tensor in the
+sum.  `v_at` reads `v_sequence`, so V_g = 0 guards every value it returns;
+`v_invariant` reads a complex it is given, whose normalisation it does not
+check.
 """
 
 from __future__ import annotations
@@ -465,14 +496,17 @@ def _cancel(
 def _reduced_sublevels(
     complex_: BifilteredComplex, first: int, last: int
 ) -> Iterator[tuple[int, dict[int, int]]]:
-    """Yield (s, {g: G_s(g) for each survivor g of A_s^-}), s = first..last in order, from one sweep.
+    """Yield (s, {g: G_s(g) for each survivor g of A_s^-}) from one sweep: s = last, then
+    first..last - 1 in order.  Lazy, so a caller that stops reading reduces no further level.
 
     An interval [a, b] cancels the arrows of exponent 0 at both a and b, hence
     on all of it (module docstring), then splits in two; the left half works
-    on a copy.  A single level then cancels what is left up to the window.
-    Each level's gradings are computed once: a half takes the gradings of
-    the end it shares with its interval.  Floors of levels always span a
-    subcomplex, so none is checked.
+    on a copy.  The sweep goes down the right spine to level `last` first,
+    keeping each left half, then takes the left halves from the outermost in,
+    each left before right.  A single level then cancels what is left up to
+    the window.  Each level's gradings are computed once: a half takes the
+    gradings of the end it shares with its interval.  Floors of levels always
+    span a subcomplex, so none is checked.
     """
     gens = complex_.generators
     window = _window(complex_)
@@ -481,18 +515,29 @@ def _reduced_sublevels(
         """Reduced gradings G_s(g) = M(g) - 2 max(0, A(g) - s), indexed by generator."""
         return [m - 2 * (a - s) if a > s else m for m, a in gens]
 
+    def halves(a: int, b: int, low: list[int], high: list[int], out: dict, into: dict) -> tuple:
+        """Cancel the exponent-0 arrows of [a, b] in place; return its halves, the left on a copy."""
+        _cancel(out, into, low, high, 0)
+        mid = (a + b) // 2
+        left = (
+            a, mid, low, gradings(mid) if a < mid else low,
+            {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()},
+        )
+        return left, (mid + 1, b, gradings(mid + 1) if mid + 1 < b else high, high, out, into)
+
     low = gradings(first)
-    stack = [(first, last, low, gradings(last) if first < last else low, *_arrows(complex_))]
+    spine = (first, last, low, gradings(last) if first < last else low, *_arrows(complex_))
+    stack = []  # the left halves met down the right spine, the outermost on top
+    while spine[0] < spine[1]:
+        left, spine = halves(*spine)
+        stack.insert(0, left)
+    stack.append(spine)  # level `last`, read first
     while stack:
-        a, b, low, high, out, into = stack.pop()
+        node = stack.pop()
+        a, b, low, _, out, into = node
         if a < b:
-            _cancel(out, into, low, high, 0)
-            mid = (a + b) // 2
-            stack.append((mid + 1, b, gradings(mid + 1) if mid + 1 < b else high, high, out, into))
-            stack.append((
-                a, mid, low, gradings(mid) if a < mid else low,
-                {g: set(t) for g, t in out.items()}, {g: set(t) for g, t in into.items()},
-            ))
+            left, right = halves(*node)
+            stack += (right, left)
         else:
             _cancel(out, into, low, low, window)
             yield a, {g: low[g] for g in out}
@@ -514,35 +559,46 @@ def _stable_top(first: int | None, second: int | None, order: int) -> int:
 
 
 def _tower_tops(complex_: BifilteredComplex, first: int, last: int) -> list[int]:
-    """Tower tops of the sublevels A_s^-, s = first..last: each the grading G_s of its one survivor.
+    """Tower tops of the sublevels A_s^-, s = first..last, read off the sweep (sandwich lemma).
 
-    A level that reduces to zero or several generators raises.  Small
-    complexes are also searched unreduced, at the orders N and N+1 and with
-    the window of the complex, one walk per order for every level, and a
-    disagreement raises.  Both walks run before any level is checked; the
-    checks then go level by level, in the order above.
+    Level `last` is read first, then the others from `first` up, each the
+    grading G_s of its one survivor; a read level that reduces to zero or
+    several generators raises.  Once a read level's top equals that of
+    `last`, every level between the two has that top and is not reduced.
+    Small complexes are also searched unreduced, at the orders N and N+1 and
+    with the window of the complex, one walk per order for every level,
+    skipped ones included, and a disagreement raises.
     """
-    levels = list(_reduced_sublevels(complex_, first, last))
-    walks = None
+    levels = _reduced_sublevels(complex_, first, last)
+    _, survivors = next(levels)
+    ceiling = _survivor_top(last, survivors)
+    tops = []
+    for s, survivors in levels:
+        tops.append(_survivor_top(s, survivors))
+        if tops[-1] == ceiling:
+            break
+    tops += [ceiling] * (last - first + 1 - len(tops))  # the levels sandwiched after s, and last
     if complex_.n_generators <= _CROSS_CHECK_GENERATORS:
         order, window = _truncation_order(complex_), _window(complex_)
         walks = [_truncated_tower_tops(complex_, first, last, n, window) for n in (order, order + 1)]
-    tops = []
-    for i, (s, survivors) in enumerate(levels):
-        if len(survivors) != 1:
-            raise InternalCheckError(
-                f"{len(survivors)} generators survive the reduction of level {s}, not one: "
-                "its tower top cannot be read off"
-            )
-        (top,) = survivors.values()
-        if walks is not None:
-            direct = _stable_top(walks[0][i], walks[1][i], order)
+        for s, top, low, high in zip(range(first, last + 1), tops, *walks):
+            direct = _stable_top(low, high, order)
             if direct != top:
                 raise InternalCheckError(
                     f"reduced and unreduced tower tops disagree at level {s}: {top} vs {direct}"
                 )
-        tops.append(top)
     return tops
+
+
+def _survivor_top(s: int, survivors: dict[int, int]) -> int:
+    """The grading of the one survivor of level s; zero or several raise."""
+    if len(survivors) != 1:
+        raise InternalCheckError(
+            f"{len(survivors)} generators survive the reduction of level {s}, not one: "
+            "its tower top cannot be read off"
+        )
+    (top,) = survivors.values()
+    return top
 
 
 # A part is the raw (generators, differential) of a complex, unvalidated:

@@ -4,14 +4,20 @@ Every integer input of the package is an int and every rational input an
 int, a Fraction or a string that parses exactly; bools and floats are
 neither, and raise `ValidationError` instead of being rounded or converted.
 An integer given as text is an optional '-' and ASCII digits, as in knot
-expressions, and a rational given as text is ASCII without '_'.  The
+expressions, and a rational given as text is such an integer, optionally
+followed by '/' or '.' and more ASCII digits.  The
 message, built only on failure, is "<what>, got <value!r>", or what() when
 `what` is callable.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# A rational as text, surrounding whitespace aside: the `decimal_int` rule for the
+# numerator, then ASCII digits after a '/' or a decimal point.
+_RATIONAL = re.compile(r"-?[0-9]+(?:[/.][0-9]+)?")
 
 
 class KnotwindError(Exception):
@@ -50,13 +56,13 @@ def decimal_int(text: str, what) -> int:
 
 
 def exact_rational(value: object, what) -> Fraction:
-    """`value` as a Fraction: a Fraction, a string parsed exactly, or an int (not a bool).
+    """`value` as a Fraction: a Fraction, an int (not a bool), or a string such as '-7/2' or '0.5'.
 
-    Fraction() alone also reads '1_5/2' and the digits of other scripts.
+    Fraction() alone also reads '+7/2', '35e-1', '1_5/2' and the digits of other scripts.
     """
-    if isinstance(value, Fraction) or isinstance(value, str) and value.isascii() and "_" not in value:
+    if isinstance(value, Fraction) or isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             pass  # rejected below, with the same message as any other non-integer
     return Fraction(exact_int(value, what))

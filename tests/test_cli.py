@@ -242,6 +242,8 @@ def test_cli_validation_errors_and_exit_codes():
         ["ncf", "eval", "\u0664,2"],
         ["ncf", "expand", "\u0667/2"],  # Fraction() reads it as 7/2
         ["ncf", "expand", "1_5/2"],  # and this as 15/2
+        ["ncf", "expand", "+7/2"],  # Fraction() reads it as 7/2
+        ["ncf", "expand", "35e-1"],  # and this as 7/2
         ["examples", "kn", "--n", "+1"],
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])

@@ -398,14 +398,19 @@ def searched_top(chain, s, order, window):
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
 def test_tower_top_matches_brute_force(name):
-    from knotwind.complexes import _reduced_sublevels, _truncated_tower_tops, _truncation_order
+    from knotwind.complexes import _reduced_sublevels, _tower_tops, _truncated_tower_tops, _truncation_order
 
     chain = ORACLE_COMPLEXES[name]
     assert chain.n_generators <= 9
     window = chain.alexander_radius + 1
     order = _truncation_order(chain)
-    for s, survivors in _reduced_sublevels(chain, 0, chain.alexander_radius):
+    levels = range(chain.alexander_radius + 1)
+    reads = dict(_reduced_sublevels(chain, levels[0], levels[-1]))  # read in full: every level reduced
+    assert sorted(reads) == list(levels)
+    tops = _tower_tops(chain, levels[0], levels[-1])
+    for s, survivors in reads.items():
         (read,) = survivors.values()
+        assert tops[s] == read, s  # sandwiched levels included
         floors = tuple(max(0, a - s) for _, a in chain.generators)
         for n in (order, order + 1):
             assert _truncated_tower_tops(chain, s, s, n, window) == [read], (s, n)
@@ -508,13 +513,59 @@ def test_sweep_matches_per_level_reduction(expr):
 
     chain = complex_of(expr)
     levels = range(expr.genus + 2)  # the last level has every floor 0
-    swept = list(_reduced_sublevels(chain, levels[0], levels[-1]))
-    assert [s for s, _ in swept] == list(levels)
+    swept = list(_reduced_sublevels(chain, levels[0], levels[-1]))  # read in full: every level reduced
+    assert [s for s, _ in swept] == [levels[-1], *levels[:-1]]  # the last level first
     for s, survivors in swept:
         assert len(survivors) == 1, s
         # Gradings, not generator numbers: the two may keep different survivors.
         ((alone, per_level),) = _reduced_sublevels(chain, s, s)
         assert alone == s and list(per_level.values()) == list(survivors.values()), s
+
+
+def generator_count(expr):
+    """Generators of `complex_of(expr)`, from its staircases alone."""
+    return reduce(lambda count, summand: count * staircase(summand[0]).n_generators, expr.summands, 1)
+
+
+@given(small_sums, st.one_of(st.none(), st.sampled_from(ROUTE_TORUS)))
+def test_sweep_tops_match_single_level_reads(expr, pair):
+    from knotwind.complexes import _reduced_sublevels, _tower_tops
+
+    if pair is not None:  # a K # -K pair: V ends in a run of zeros that the sweep skips
+        expr = expr + KnotExpression.torus(*pair) + KnotExpression.torus(*pair, -1)
+        assume(generator_count(expr) <= 1000)
+    chain = complex_of(expr)
+    tops = _tower_tops(chain, 0, expr.genus)
+    for s in range(expr.genus + 1):
+        # Each level, sandwiched or not, against a sweep that reads it alone.
+        ((alone, survivors),) = _reduced_sublevels(chain, s, s)
+        assert alone == s and list(survivors.values()) == [tops[s]], s
+
+
+@pytest.mark.parametrize(
+    "text, shift, tops, reduced",
+    [
+        ("T(2,11) # -T(2,11)", 0, [0] * 11, 2),
+        ("T(2,11) # -T(2,11)", 2, [2] * 11, 2),  # not normalised: equal ends need not be 0
+        ("T(2,5) # T(2,3)", 0, [-4, -2, -2, 0], 4),
+    ],
+)
+def test_sweep_reduces_levels_until_one_reaches_the_last_top(monkeypatch, text, shift, tops, reduced):
+    import knotwind.complexes as cx
+
+    knot = complex_of(parse_knot_expr(text))
+    chain = BifilteredComplex(tuple((m + shift, a) for m, a in knot.generators), knot.differential)
+    last = chain.alexander_radius
+    assert [cx._tower_tops(chain, s, s) for s in range(last + 1)] == [[top] for top in tops]
+    cancel, limits = cx._cancel, []
+
+    def counted(out, into, low, high, limit):
+        limits.append(limit)
+        cancel(out, into, low, high, limit)
+
+    monkeypatch.setattr(cx, "_cancel", counted)
+    assert cx._tower_tops(chain, 0, last) == tops
+    assert sum(limit > 0 for limit in limits) == reduced  # one single-level step per level read
 
 
 def test_interval_step_keeps_arrows_of_exponent_zero_at_one_end_only():

@@ -113,7 +113,10 @@ def test_the_two_helpers():
     assert exact_rational(3, "d") == 3 and isinstance(exact_rational(3, "d"), Fraction)
     assert exact_rational(" -2/6 ", "d") == Fraction(-1, 3)
     assert exact_rational("0.5", "d") == Fraction(1, 2)  # a decimal string is exact
+    assert exact_rational("-5/4", "d") == Fraction(-5, 4)
     assert exact_rational(Fraction(1, 3), "d") == Fraction(1, 3)
-    for bad in (True, 0.5, "1/0", "nan", "abc", None, [1], "\u0663/2", "1_5/2"):
+    # Fraction() reads the second row; the ASCII rule of decimal_int refuses it.
+    for bad in (True, 0.5, "1/0", "nan", "abc", None, [1], "1/-2", "1.5/2", "- 1/2",
+                "\u0663/2", "1_5/2", "+7/2", "35e-1", ".5", "5."):
         with pytest.raises(K.ValidationError, match="^d, got "):
             exact_rational(bad, "d")
