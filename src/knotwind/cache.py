@@ -16,7 +16,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .complexes import _servable, v_route, v_sequence
+from .complexes import _servable, v_sequence
 from .errors import ValidationError
 from .knots import KnotExpression, parse_knot_expr
 from .semigroup import v_sequence_torus
@@ -35,25 +35,24 @@ def _spot_check(entries: dict[str, list[int]], exprs: dict[str, KnotExpression])
     """Compare the entries, keyed like `exprs`, with what they claim; False means the cache
     cannot be trusted.
 
-    Every entry on the semigroup route is compared with its semigroup count,
-    which needs no complex.  Of the other entries that `v_sequence` would
-    serve (those with its shape; the rest are recomputed anyway), the
-    cheapest is recomputed; genus-0 entries (the unknot) cannot disagree, so
-    one is picked only when nothing else is left.  With none, nothing is
-    recomputed.
+    Every positive torus knot entry is compared with its semigroup count,
+    which needs no complex.  Of the other entries of genus at most
+    `_SPOT_CHECK_GENUS_LIMIT` that `v_sequence` would serve (those with its
+    shape; the rest are recomputed anyway), the cheapest is recomputed;
+    genus-0 entries (the unknot) cannot disagree, so one is picked only when
+    nothing else is left.  With none, nothing is recomputed.
     """
     others = {}
     for key, expr in exprs.items():
-        if v_route(expr)[0] != "semigroup count":
-            if _servable(expr, entries[key]) is not None:
-                others[key] = expr
-        elif list(v_sequence_torus(expr.single_positive_torus_knot()).values) != entries[key]:
-            return False
+        knot = expr.single_positive_torus_knot()
+        if knot is not None:
+            if list(v_sequence_torus(knot).values) != entries[key]:
+                return False
+        elif expr.genus <= _SPOT_CHECK_GENUS_LIMIT and _servable(expr, entries[key]) is not None:
+            others[key] = expr
     if not others:
         return True
     key = min(others, key=lambda k: (others[k].genus == 0, len(others[k].summands), others[k].genus))
-    if others[key].genus > _SPOT_CHECK_GENUS_LIMIT:
-        return True
     return list(v_sequence(others[key]).values) == entries[key]
 
 

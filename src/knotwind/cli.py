@@ -238,7 +238,6 @@ def _cmd_ncf_eval(args) -> BoundReport:
     coeffs = [
         decimal_int(part, lambda: f"coefficient list must be comma-separated integers, got {args.coeffs!r}")
         for part in args.coeffs.split(",")
-        if part.strip() != ""
     ]
     value = ncf_eval(coeffs)
     trail = (TrailEntry("definition", value, A_NCF),)

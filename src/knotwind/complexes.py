@@ -75,15 +75,17 @@ at level s, so one adjacency, without exponents, describes every level.
 `_reduced_sublevels` sweeps the levels of a V-sequence this way: an
 interval cancels every arrow of exponent 0 at both ends, toggled ones
 included, then splits in two; an arrow of exponent 0 at one end only is
-left to the halves.  The interval step is Gaussian elimination only: e_s = 0
-iff G_s(l) - G_s(k) = -1, so it takes k->l, and each x->y it toggles in,
-exactly when that difference is -1 at both ends, and needs no exponents.
-Each level's gradings G_s are computed once, as a list over the generators:
-an interval hands the gradings of its two ends down to the halves that share
-them, and computes only those of its middle levels mid and mid + 1.  A
-single level cancels what is left up to the window, least exponent first,
-through the same `_cancel` step (Reduction), and yields its survivors with
-their gradings G_s.  Level floors always span a subcomplex
+left to the halves.  Every step takes one criterion.  As e_s is monotone,
+the exponent of an arrow on an interval [a, b], its largest e_s there, is
+the larger of e_a and e_b; `_cancel` cancels, least first, every arrow,
+toggled ones included, whose exponent is at most a limit.  An interval
+passes the limit 0, so its step is Gaussian elimination only.  A single
+level s is the interval [s, s]: it passes the window and cancels what is
+left up to it (Reduction), then yields its survivors with their gradings
+G_s.  Each level's gradings G_s are computed once, as a list over the
+generators: an interval hands the gradings of its two ends down to the
+halves that share them, and computes only those of its middle levels mid
+and mid + 1.  Level floors always span a subcomplex
 (f_s(l) <= f_s(k) + n by the filtration law), so the sweep checks none.
 
 The sweep reads the last level first, down the right spine of intervals,
@@ -160,8 +162,8 @@ small-complex cross-check; `TruncatedComplex` is the validated public value
 of its model.  It takes plain values: the complex, a range of levels
 first..last, the order N and the window w.  Its model of level s is
 A_s^- / U^N A_s^-: it keeps U^a * g for f_s(g) <= a < N and reads each row
-straight from `arrows_out`.  Level floors always span a subcomplex, so
-there are none to check.  A generator has at most one basis element per
+off the arrows of g.  Level floors always span a subcomplex, so there are
+none to check.  A generator has at most one basis element per
 Maslov grading, so rows are generator-numbered: bit g over grading m is
 U^a * g, a = (M(g) - m)/2.  The tower top is the maximal grading m with a
 cycle whose U^w-image is not a boundary.  At each m the search takes D, the
@@ -238,9 +240,7 @@ class BifilteredComplex:
 
     generators: tuple[tuple[int, int], ...]
     differential: dict[tuple[int, int], int] = field(default_factory=dict)
-    # Built once: the adjacency view arrows_out[k] = ((l, n), ...) of the differential,
-    # and max |A(g)|, the total genus for complexes built from knots.
-    arrows_out: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
+    # Built once: max |A(g)|, the total genus for complexes built from knots.
     alexander_radius: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -266,11 +266,9 @@ class BifilteredComplex:
             if (n if n.__class__ is int else exact_int(n, "U-exponents must be integers")) < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
             out[k].append((l, n))
-        arrows_out = tuple(map(tuple, out))
         object.__setattr__(self, "differential", dict(self.differential))
-        object.__setattr__(self, "arrows_out", arrows_out)
         object.__setattr__(self, "alexander_radius", max(abs(a) for _, a in gens))
-        for k, arrows in enumerate(arrows_out):
+        for k, arrows in enumerate(out):
             mk, ak = gens[k]
             for l, n in arrows:
                 ml, al = gens[l]
@@ -282,13 +280,9 @@ class BifilteredComplex:
                     raise ValidationError(
                         f"filtration law broken on arrow {k}->{l}: A_l - n = {al - n} > A_k = {ak}"
                     )
-        self._check_square_zero()
-
-    def _check_square_zero(self) -> None:
-        """Every (k, m) has an even number of 2-paths k->l->m (parity form, module docstring)."""
-        out, count = self.arrows_out, len(self.generators)
-        # Sorted, a list has every value an even number of times iff it pairs
-        # off into equal neighbours.
+        # Square zero, in its parity form (module docstring): every (k, m) has an
+        # even number of 2-paths k->l->m.  Sorted, a list has every value an even
+        # number of times iff it pairs off into equal neighbours.
         ends = [k * count + m for k, arrows in enumerate(out) for l, _ in arrows for m, _ in out[l]]
         ends.sort()
         if ends[::2] != ends[1::2]:
@@ -352,8 +346,11 @@ def _truncated_tower_tops(
 ) -> list[int | None]:
     """Per level s = first..last, the maximal grading of A_s^- / U^order with a cycle surviving
     U^window, or None; one walk serves all (module docstring)."""
-    gens, arrows_out = complex_.generators, complex_.arrows_out
+    gens = complex_.generators
     width, count = len(gens), last - first + 1
+    out: list[list[tuple[int, int]]] = [[] for _ in gens]  # out[k]: (l, n) for each arrow k->l
+    for (k, l), n in complex_.differential.items():
+        out[k].append((l, n))
 
     def grading(m: int) -> list[list[tuple[int, int]]]:
         """Basis elements (g, a) of grading m by the level they enter at; bit g stands for U^a * g.
@@ -369,7 +366,7 @@ def _truncated_tower_tops(
 
     def row(g: int, a: int) -> int:
         """Boundary of U^a * g as a mask over generator numbers (targets are distinct)."""
-        return sum(1 << l for l, n in arrows_out[g] if a + n < order)
+        return sum(1 << l for l, n in out[g] if a + n < order)
 
     tops: list[int | None] = [None] * count
     missing = count
@@ -431,31 +428,24 @@ def _arrows(complex_: BifilteredComplex) -> tuple[dict[int, set[int]], dict[int,
 def _cancel(
     out: dict[int, set[int]], into: dict[int, set[int]], low: list[int], high: list[int], limit: int
 ) -> None:
-    """Cancel the arrows of exponent 0 at two levels (`limit` 0), or of exponent at most `limit` at one.
+    """Cancel every arrow whose exponent on an interval of levels is at most `limit`, least first.
 
-    `low` and `high` are the reduced gradings G_a, G_b of the two ends of an
-    interval of levels, indexed by generator; the exponent of k->l at level s
-    is (G_s[l] - G_s[k] + 1) / 2.  With `limit` 0 this is Gaussian elimination
-    of every k->l with G[l] - G[k] = -1 at both ends.  A positive `limit` is the
-    single-level step, `high` the same gradings as `low`, least exponent first.
+    `low` and `high` are the reduced gradings G_a, G_b of the two ends of the
+    interval, indexed by generator (the same gradings twice for one level);
+    the exponent of k->l at level s is (G_s[l] - G_s[k] + 1) / 2.  It is
+    monotone in s (module docstring), so its largest value on [a, b] is the
+    larger of its two ends, and that is the arrow's exponent here.  An
+    interval passes `limit` 0, Gaussian elimination of every arrow of
+    exponent 0 at both ends; a single level passes the window.
     """
-
-    eliminate = not limit
     queued: list[list[tuple[int, int]]] = [[] for _ in range(limit + 1)]  # arrows by exponent
-    if eliminate:
-        bucket = queued[0]
-        for k, targets in out.items():
-            lowk, highk = low[k] - 1, high[k] - 1
-            for l in targets:
-                if low[l] == lowk and high[l] == highk:
-                    bucket.append((k, l))
-    else:
-        for k, targets in out.items():
-            lowk = low[k]
-            for l in targets:
-                e = low[l] - lowk + 1 >> 1
-                if e <= limit:
-                    queued[e].append((k, l))
+    for k, targets in out.items():
+        lowk, highk = low[k] - 1, high[k] - 1
+        for l in targets:
+            e, f = low[l] - lowk, high[l] - highk  # twice the exponents at the two ends
+            e = (e if e > f else f) >> 1
+            if e <= limit:
+                queued[e].append((k, l))
     # Drained in rising exponent order, so the arrow k->l taken has the least
     # exponent e left: every x->l and k->y has exponent a, b >= e, and each
     # toggled exponent a + b - e >= e lands in this bucket or a later one.
@@ -479,13 +469,10 @@ def _cancel(
                         else:
                             ox.add(y)
                             into[y].add(x)
-                            if eliminate:
-                                if low[y] == lowx and high[y] == highx:
-                                    bucket.append((x, y))
-                            else:
-                                e = low[y] - lowx >> 1
-                                if e <= limit:
-                                    queued[e].append((x, y))
+                            e, f = low[y] - lowx, high[y] - highx
+                            e = (e if e > f else f) >> 1
+                            if e <= limit:
+                                queued[e].append((x, y))
             for g in (k, l):
                 for y in out.pop(g):
                     into[y].discard(g)
@@ -763,6 +750,18 @@ def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
     return "staircase homology", A_TOWER
 
 
+def _homology_sequence(expr: KnotExpression) -> VSequence:
+    """V_0..V_g of an expression other than the unknot, off one sweep of its complex, checked
+    for V_g = 0 and monotonicity."""
+    values = tuple(_v_values(complex_of(expr), 0, expr.genus))
+    if values[-1]:
+        raise InternalCheckError(f"tower normalisation broken: V_{expr.genus} = {values[-1]}, not 0")
+    try:
+        return VSequence(values)
+    except ValidationError as exc:
+        raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
+
+
 def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     """V-sequence of an expression.
 
@@ -782,8 +781,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     if knot is not None:
         seq = v_sequence_torus(knot)
         if knot.genus <= 12:
-            homology = _v_values(complex_of(expr), 0, knot.genus)
-            for s, hom in enumerate(homology):
+            for s, hom in enumerate(_homology_sequence(expr)):
                 if hom != seq.at(s):
                     raise InternalCheckError(
                         f"path disagreement on {knot} at level {s}: "
@@ -792,13 +790,7 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
     elif expr.is_unknot:
         seq = VSequence(())
     else:
-        values = tuple(_v_values(complex_of(expr), 0, expr.genus))
-        if values[-1]:
-            raise InternalCheckError(f"tower normalisation broken: V_{expr.genus} = {values[-1]}, not 0")
-        try:
-            seq = VSequence(values)
-        except ValidationError as exc:
-            raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
+        seq = _homology_sequence(expr)
     if memo is not None:
         memo[str(expr)] = list(seq.values)
     return seq

@@ -36,8 +36,3 @@ class BitSpace:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-

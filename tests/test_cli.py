@@ -240,6 +240,10 @@ def test_cli_validation_errors_and_exit_codes():
         ["dinv", "T(2,3)", "--n", "1_0", "--i", "0"],
         ["dinv", "T(2,3)", "--n", "3", "--i", "\u0660"],
         ["ncf", "eval", "\u0664,2"],
+        ["ncf", "eval", "4,,2"],  # an empty coefficient is not skipped
+        ["ncf", "eval", "4,2,"],
+        ["ncf", "eval", ",4,2"],
+        ["ncf", "eval", "4, ,2"],
         ["ncf", "expand", "\u0667/2"],  # Fraction() reads it as 7/2
         ["ncf", "expand", "1_5/2"],  # and this as 15/2
         ["ncf", "expand", "+7/2"],  # Fraction() reads it as 7/2
@@ -331,6 +335,17 @@ def test_cache_spot_check_recomputes_an_entry_off_the_semigroup_route(tmp_path):
         out = run_ok(["vseq", "T(2,3) # T(2,3)", "--cache", str(path)])
     assert "value: 1 1 0" in out.splitlines()
     assert json.loads(path.read_text())["entries"] == {"T(2,3) # T(2,3)": [1, 1, 0]}
+
+
+def test_cache_spot_check_passes_over_entries_above_the_genus_limit(tmp_path):
+    # Of genus 45, the lone mirror is not recomputed, and it does not hide the
+    # cheapest sum that is: with no limit applied first, the stale sum was served.
+    path = tmp_path / "cache.json"
+    stale = {"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    with pytest.warns(RuntimeWarning, match="stale"):
+        out = run_ok(["vseq", "T(2,3) # -T(2,5)", "--cache", str(path)])
+    assert "value: 0 0 0 0" in out.splitlines()
 
 
 def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):

@@ -238,7 +238,6 @@ def test_complex_of_is_the_fold_of_the_public_builders(expr):
     folded = reduce(tensor, parts) if parts else BifilteredComplex(((0, 0),))
     assert chain.generators == folded.generators
     assert list(chain.differential.items()) == list(folded.differential.items())
-    assert chain.arrows_out == folded.arrows_out
 
 
 def test_diamond_consistency_grid():
@@ -609,12 +608,13 @@ def f2_rank(rows):
 
 @given(small_sums, st.data())
 def test_interval_step_cancels_exactly_the_arrows_of_exponent_zero_at_both_ends(expr, data):
-    from knotwind.complexes import _arrows, _cancel
+    from knotwind.complexes import _arrows, _cancel, _window
 
     chain = complex_of(expr)
     gens = chain.generators
     a = data.draw(st.integers(0, expr.genus), label="a")
     b = data.draw(st.integers(a + 1, expr.genus + 1), label="b")
+    s = data.draw(st.integers(0, expr.genus + 1), label="s")
 
     def exponent(k, l, n, s):
         """The exponent n + f_s(k) - f_s(l) of k->l in A_s^-, by definition."""
@@ -637,6 +637,15 @@ def test_interval_step_cancels_exactly_the_arrows_of_exponent_zero_at_both_ends(
         for l in targets:
             n = (gens[l][0] - gens[k][0] + 1) // 2  # toggled arrows too: the grading law fixes n
             assert exponent(k, l, n, a) or exponent(k, l, n, b), (k, l)
+    # A single level, its gradings passed twice and the window as `limit`,
+    # cancels every arrow of exponent up to the window.
+    window = _window(chain)
+    out, into = _arrows(chain)
+    _cancel(out, into, gradings(s), gradings(s), window)
+    for k, targets in out.items():
+        for l in targets:
+            n = (gens[l][0] - gens[k][0] + 1) // 2
+            assert exponent(k, l, n, s) > window, (k, l)
 
 
 def test_interval_step_cancels_the_arrows_it_toggles():
