@@ -60,7 +60,6 @@ class BoundReport:
     """A value with its inputs, provenance trail and optional refinement; every
     CLI document is built from one, lists and dicts included."""
 
-    bound_kind: str
     value: Fraction | int | list | dict
     induced_minimum: int | None
     inputs: dict[str, object]
@@ -109,7 +108,7 @@ def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundRep
         TrailEntry("gw >= (even)", induced, A_PARITY),
         *mixed,
     )
-    return BoundReport("winding", bound, induced, {"expr": str(expr)}, trail)
+    return BoundReport(bound, induced, {"expr": str(expr)}, trail)
 
 
 def correction_rhs(table_y: CorrectionTable, table_neg_y: CorrectionTable) -> Fraction:
@@ -139,9 +138,7 @@ def multi_sphere_bound(
         TrailEntry("gw >= (unclamped)", pre, A_MULTI),
         TrailEntry("gw >= (clamped)", value, A_CLAMP),
     )
-    return BoundReport(
-        "multi_sphere", value, None, {"n": table_y.n, "m": m}, trail
-    )
+    return BoundReport(value, None, {"n": table_y.n, "m": m}, trail)
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,8 @@ class EssentialInput:
             )
         object.__setattr__(self, "dtable", table)
         size = self.w * self.w
-        if set(table) != set(range(size)):
+        # Distinct integers cover 0..size - 1 iff there are size of them, all in range.
+        if len(table) != size or not all(0 <= residue < size for residue in table):
             raise ValidationError(
                 f"d-table must cover exactly the residues 0..{size - 1} mod w^2"
             )
@@ -189,7 +187,7 @@ def essential_report(data: EssentialInput) -> BoundReport:
         TrailEntry("maximising residue", best, A_ESSENTIAL),
         TrailEntry("d[k] - d[k_op]", gaps[best], A_ESSENTIAL),
     )
-    return BoundReport("essential", 2 * gaps[best], None, {"w": data.w}, trail)
+    return BoundReport(2 * gaps[best], None, {"w": data.w}, trail)
 
 
 def essential_bound(data: EssentialInput) -> Fraction:
@@ -216,7 +214,7 @@ def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
         TrailEntry("gsh0 >= (clamped)", value, A_CLAMP),
         *mixed,
     )
-    return BoundReport("shake", value, None, {"expr": str(expr)}, trail)
+    return BoundReport(value, None, {"expr": str(expr)}, trail)
 
 
 def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundReport:
@@ -284,7 +282,7 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
         TrailEntry("upper bound", upper, A_KN_UPPER),
         TrailEntry("sharp", sharp, A_KN_UPPER),
     ]
-    return BoundReport("kn_family", chain, induced, {"n": n}, tuple(trail), sharp=sharp)
+    return BoundReport(chain, induced, {"n": n}, tuple(trail), sharp=sharp)
 
 
 def reproduce_whitehead() -> BoundReport:
@@ -296,6 +294,4 @@ def reproduce_whitehead() -> BoundReport:
         TrailEntry("upper bound", upper, A_WH_UPPER),
         TrailEntry("sharp", sharp, A_WH_UPPER),
     )
-    return BoundReport(
-        "whitehead", base.value, base.induced_minimum, {"expr": "T(2,3)"}, trail, sharp=sharp
-    )
+    return BoundReport(base.value, base.induced_minimum, {"expr": "T(2,3)"}, trail, sharp=sharp)

@@ -183,7 +183,7 @@ def _cmd_vseq(args) -> BoundReport:
     values = list(v_sequence(expr).values)
     route, anchor = v_route(expr)
     trail = (TrailEntry("path", route, anchor), TrailEntry("genus", expr.genus, A_GENUS))
-    return BoundReport("vseq", values, None, {"expr": str(expr)}, trail)
+    return BoundReport(values, None, {"expr": str(expr)}, trail)
 
 
 def _cmd_dinv(args) -> BoundReport:
@@ -198,7 +198,7 @@ def _cmd_dinv(args) -> BoundReport:
         TrailEntry("formula", f"n = {args.n}", A_NIWU),
         TrailEntry("labels", "i = 0..n-1", A_SPINC),
     )
-    return BoundReport("dinv", value, None, inputs, trail)
+    return BoundReport(value, None, inputs, trail)
 
 
 def _load_dtable(path: str, w: int) -> EssentialInput:
@@ -231,7 +231,7 @@ def _cmd_seifert_kn(args) -> BoundReport:
     ]
     trail.append(TrailEntry("euler number", euler, A_EULER))
     trail.append(TrailEntry("euler < 0", euler < 0, A_EULER_NEG))
-    return BoundReport("seifert", euler, None, {"n": args.n}, tuple(trail))
+    return BoundReport(euler, None, {"n": args.n}, tuple(trail))
 
 
 def _cmd_ncf_eval(args) -> BoundReport:
@@ -241,14 +241,14 @@ def _cmd_ncf_eval(args) -> BoundReport:
     ]
     value = ncf_eval(coeffs)
     trail = (TrailEntry("definition", value, A_NCF),)
-    return BoundReport("ncf", value, None, {"coeffs": coeffs}, trail)
+    return BoundReport(value, None, {"coeffs": coeffs}, trail)
 
 
 def _cmd_ncf_expand(args) -> BoundReport:
     value = exact_rational(args.value, "ncf expand needs a rational number")
     coeffs = ncf_expand(value)
     trail = (TrailEntry("definition", ",".join(map(str, coeffs)), A_NCF),)
-    return BoundReport("ncf", coeffs, None, {"value": value}, trail)
+    return BoundReport(coeffs, None, {"value": value}, trail)
 
 
 def _flatten_value(value) -> list[tuple[str, str]]:

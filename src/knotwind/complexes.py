@@ -10,10 +10,13 @@ construction time:
     grading law:   M(g_l) - 2n = M(g_k) - 1 on every entry,
     filtration:    A(g_l) - n <= A(g_k) on every entry.
 
-Square zero is checked last, in its parity form: every pair (k, m) has an
-even number of 2-paths k->l->m.  Once the grading law holds, every 2-path
-from k to m carries U^(n1 + n2) with n1 + n2 = (M(g_m) - M(g_k) + 2)/2, so
-the composite's (k, m) entry is that count mod 2 times one fixed power of U.
+The constructor checks each arrow once, in the order of the differential,
+which names the first arrow to break a check: key range, exponent sign, and
+the grading and filtration laws.  Square zero is checked last, in its
+parity form: every pair (k, m) has an even number of 2-paths k->l->m.  Once
+the grading law holds, every 2-path from k to m carries U^(n1 + n2) with
+n1 + n2 = (M(g_m) - M(g_k) + 2)/2, so the composite's (k, m) entry is that
+count mod 2 times one fixed power of U.
 
 The homological normalisation (the U-non-torsion tower of the full complex
 tops out at Maslov grading 0) is available as `tower_top`.  `complex_of`
@@ -158,20 +161,19 @@ nothing: the complex-level form of d(-Y) = -d(Y) (Ozsvath-Szabo,
 "Absolutely graded Floer homologies...", 2003).
 
 Tower search.  `_truncated_tower_tops` is the independent search behind the
-small-complex cross-check; `TruncatedComplex` is the validated public value
-of its model.  It takes plain values: the complex, a range of levels
-first..last, the order N and the window w.  Its model of level s is
-A_s^- / U^N A_s^-: it keeps U^a * g for f_s(g) <= a < N and reads each row
-off the arrows of g.  Level floors always span a subcomplex, so there are
-none to check.  A generator has at most one basis element per
-Maslov grading, so rows are generator-numbered: bit g over grading m is
-U^a * g, a = (M(g) - m)/2.  The tower top is the maximal grading m with a
-cycle whose U^w-image is not a boundary.  At each m the search takes D, the
-boundaries of the basis of m, B, the boundaries landing in m - 2w, and V,
-the span of the pairs (de, U^w e) over the basis of m together with (0, B).
-Projecting V onto its first part has image D and kernel
-0 x (U^w(cycles) + B), so a surviving cycle exists iff
-rank V - rank D > rank B.  V_s is minus half the top grading.
+small-complex cross-check.  It takes plain values: the complex, a range of
+levels first..last, the order N and the window w.  Its model of level s is
+A_s^- / U^N A_s^-, the `TruncatedComplex` with the floors f_s: it keeps
+U^a * g for f_s(g) <= a < N and reads each row off the arrows of g.  A
+generator has at most one basis element per Maslov grading, so rows are
+generator-numbered: bit g over grading m is U^a * g, a = (M(g) - m)/2.  The
+tower top is the maximal grading m with a cycle whose U^w-image is not a
+boundary.  At each m the search takes D, the boundaries of the basis of m,
+B, the boundaries landing in m - 2w, and V, the span of the pairs
+(de, U^w e) over the basis of m together with (0, B).  Projecting V onto
+its first part has image D and kernel 0 x (U^w(cycles) + B), so a surviving
+cycle exists iff rank V - rank D > rank B.  V_s is minus half the top
+grading.
 
     Lemma.  At a fixed grading m and order N, the basis of level s is
     contained in that of every level t > s, and D, B and V of level s are
@@ -185,12 +187,14 @@ rank V - rank D > rank B.  V_s is minus half the top grading.
     spans of these rows over the basis of m and of m - 2w + 1, and a rank
     depends on the set of rows, not on the order they are inserted in.
 
-So one walk per order serves every level: it goes down from the top grading
-of the last level, inserts each basis element of m and of m - 2w + 1 into
-three echelon spaces D, B and V at the first level that admits it, level
-max(first, A(g) - a) for U^a * g, and after each level's insertions the
-ranks are that level's.  Each level records the first m where
-rank V - rank D > rank B, and the walk stops once every level has one.
+So one walk per order serves every level: it goes down the gradings of the
+`graded_basis()` of level last, from the largest to the smallest (a grading
+with no basis element there has none at any level).  It inserts each basis
+element of m and of m - 2w + 1 into three echelon spaces D, B and V at the
+first level that admits it, level max(first, A(g) - a) for U^a * g, and
+after each level's insertions the ranks are that level's.  Each level
+records the first m where rank V - rank D > rank B, and the walk stops once
+every level has one.
 
 Checks.  Every level the sweep reduces is read off its one survivor, and a
 level that reduces to zero or several generators raises.  A level that the
@@ -256,7 +260,7 @@ class BifilteredComplex:
         if not gens:
             raise ValidationError("a complex needs at least one generator")
         count = len(gens)
-        out: list[list[tuple[int, int]]] = [[] for _ in gens]
+        out: list[list[int]] = [[] for _ in gens]  # out[k]: the targets of k, for square zero
         for (k, l), n in self.differential.items():
             if not (
                 0 <= (k if k.__class__ is int else exact_int(k, _KEYS)) < count
@@ -265,25 +269,23 @@ class BifilteredComplex:
                 raise ValidationError(f"differential entry ({k},{l}) is out of range")
             if (n if n.__class__ is int else exact_int(n, "U-exponents must be integers")) < 0:
                 raise ValidationError(f"U-exponent on arrow {k}->{l} is negative")
-            out[k].append((l, n))
+            mk, ak = gens[k]
+            ml, al = gens[l]
+            if ml - 2 * n != mk - 1:
+                raise ValidationError(
+                    f"grading law broken on arrow {k}->{l}: M_l - 2n = {ml - 2 * n}, M_k - 1 = {mk - 1}"
+                )
+            if al - n > ak:
+                raise ValidationError(
+                    f"filtration law broken on arrow {k}->{l}: A_l - n = {al - n} > A_k = {ak}"
+                )
+            out[k].append(l)
         object.__setattr__(self, "differential", dict(self.differential))
         object.__setattr__(self, "alexander_radius", max(abs(a) for _, a in gens))
-        for k, arrows in enumerate(out):
-            mk, ak = gens[k]
-            for l, n in arrows:
-                ml, al = gens[l]
-                if ml - 2 * n != mk - 1:
-                    raise ValidationError(
-                        f"grading law broken on arrow {k}->{l}: M_l - 2n = {ml - 2 * n}, M_k - 1 = {mk - 1}"
-                    )
-                if al - n > ak:
-                    raise ValidationError(
-                        f"filtration law broken on arrow {k}->{l}: A_l - n = {al - n} > A_k = {ak}"
-                    )
         # Square zero, in its parity form (module docstring): every (k, m) has an
         # even number of 2-paths k->l->m.  Sorted, a list has every value an even
         # number of times iff it pairs off into equal neighbours.
-        ends = [k * count + m for k, arrows in enumerate(out) for l, _ in arrows for m, _ in out[l]]
+        ends = [k * count + m for k, targets in enumerate(out) for l in targets for m in out[l]]
         ends.sort()
         if ends[::2] != ends[1::2]:
             raise ValidationError("differential does not square to zero over F_2[U]")
@@ -311,7 +313,8 @@ class BifilteredComplex:
 
 @dataclass(frozen=True)
 class TruncatedComplex:
-    """Finite-dimensional F_2 model: basis U^a * g with floors[g] <= a < order."""
+    """Finite-dimensional F_2 model: basis U^a * g with floors[g] <= a < order (floors default
+    to 0).  With the floors f_s it is A_s^- / U^order, which `_truncated_tower_tops` walks."""
 
     base: BifilteredComplex
     order: int
@@ -345,12 +348,13 @@ def _truncated_tower_tops(
     complex_: BifilteredComplex, first: int, last: int, order: int, window: int
 ) -> list[int | None]:
     """Per level s = first..last, the maximal grading of A_s^- / U^order with a cycle surviving
-    U^window, or None; one walk serves all (module docstring)."""
+    U^window, or None; one walk down the basis of level `last` serves all (module docstring)."""
     gens = complex_.generators
     width, count = len(gens), last - first + 1
     out: list[list[tuple[int, int]]] = [[] for _ in gens]  # out[k]: (l, n) for each arrow k->l
     for (k, l), n in complex_.differential.items():
         out[k].append((l, n))
+    basis = TruncatedComplex(complex_, order, tuple(max(0, a - last) for _, a in gens)).graded_basis()
 
     def grading(m: int) -> list[list[tuple[int, int]]]:
         """Basis elements (g, a) of grading m by the level they enter at; bit g stands for U^a * g.
@@ -358,10 +362,8 @@ def _truncated_tower_tops(
         U^a * g lies in A_s^- once f_s(g) = max(0, A(g) - s) <= a: from level A(g) - a on.
         """
         levels: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for g, (mg, ag) in enumerate(gens):
-            a = (mg - m) // 2
-            if (mg - m) % 2 == 0 and 0 <= a < order and ag - a <= last:
-                levels[max(0, ag - a - first)].append((g, a))
+        for g, a in basis.get(m, ()):
+            levels[max(0, gens[g][1] - a - first)].append((g, a))
         return levels
 
     def row(g: int, a: int) -> int:
@@ -370,9 +372,7 @@ def _truncated_tower_tops(
 
     tops: list[int | None] = [None] * count
     missing = count
-    top = max(mg - 2 * max(0, ag - last) for mg, ag in gens)
-    bottom = min(mg for mg, _ in gens) - 2 * (order - 1)
-    for m in range(top, bottom - 1, -1):
+    for m in sorted(basis, reverse=True):  # a grading with no basis element has no class
         # D: the boundaries of the basis of m; B: those landing in m - 2w;
         # V: the pairs (de, U^window e) over the basis of m, and (0, B), as
         # rows de << width | U^window e.  Each only grows from one level to

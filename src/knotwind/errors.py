@@ -4,10 +4,10 @@ Every integer input of the package is an int and every rational input an
 int, a Fraction or a string that parses exactly; bools and floats are
 neither, and raise `ValidationError` instead of being rounded or converted.
 An integer given as text is an optional '-' and ASCII digits, as in knot
-expressions, and a rational given as text is such an integer, optionally
-followed by '/' or '.' and more ASCII digits.  The
-message, built only on failure, is "<what>, got <value!r>", or what() when
-`what` is callable.
+expressions, within the interpreter's digit limit, and a rational given as
+text is such an integer, optionally followed by '/' or '.' and more digits.
+The message, built only on failure, is "<what>, got <value!r>", or what()
+when `what` is callable.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ def decimal_int(text: str, what) -> int:
     """
     digits = text.strip().removeprefix("-")
     if digits.isascii() and digits.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            pass  # longer than the interpreter's digit limit
     raise ValidationError(what() if callable(what) else f"{what}, got {text!r}")
 
 
@@ -63,6 +66,6 @@ def exact_rational(value: object, what) -> Fraction:
     if isinstance(value, Fraction) or isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value)
-        except ZeroDivisionError:
-            pass  # rejected below, with the same message as any other non-integer
+        except (ZeroDivisionError, ValueError):
+            pass  # a zero denominator or too many digits: rejected below, as any other non-integer
     return Fraction(exact_int(value, what))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ValidationError, exact_int
+from .errors import ValidationError, decimal_int, exact_int
 
 _SIGN = "summand sign must be +1 or -1"
 
@@ -148,7 +148,7 @@ def parse_knot_expr(text: str) -> KnotExpression:
             j += 1
         if j == i:
             fail(i, "an integer")
-        return int(text[i:j]), j
+        return decimal_int(text[i:j], lambda: f"integer at position {i} has too many digits"), j
 
     summands: list[tuple[TorusKnot, int]] = []
     i = skip_ws(0)

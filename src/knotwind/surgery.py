@@ -57,7 +57,7 @@ class CorrectionTable:
         entries = {exact_int(i, "correction table keys must be integers"):
                    exact_rational(v, "correction table values must be exact rationals")
                    for i, v in self.entries.items()}
-        if set(entries) != set(range(self.n)):
+        if len(entries) != self.n or not all(0 <= i < self.n for i in entries):  # n distinct keys in range
             raise ValidationError(
                 f"correction table must cover exactly i = 0..{self.n - 1}, got {sorted(entries)}"
             )

@@ -125,6 +125,11 @@ def test_essential_input_validation():
         EssentialInput(3, {k: Fraction(0) for k in range(9)})
     with pytest.raises(ValidationError, match="cover"):
         EssentialInput(2, {0: Fraction(0)})
+    with pytest.raises(ValidationError, match="cover"):
+        EssentialInput(2, {0: 0, 1: 0, 2: 0, 7: 0})  # four residues, one out of range
+    # The coverage check counts the keys before it would list w^2 = 10^12 residues.
+    with pytest.raises(ValidationError, match="cover"):
+        EssentialInput(10**6, {"0": 0})
     for inexact in (0.5, True, "abc", "1/0"):
         with pytest.raises(ValidationError, match="exact"):
             EssentialInput(2, {0: inexact, 1: 0, 2: 0, 3: 0})

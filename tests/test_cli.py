@@ -25,6 +25,12 @@ from knotwind import __version__
 from knotwind import cli
 from knotwind.cli import fraction_str, run
 
+# The most digits int() converts from text, or 0 where the interpreter has no limit.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# An even number with more digits than that: a knot parameter in it is rejected as
+# too long, or where there is no limit as not coprime with 2.
+LONG_EVEN = "4" * (DIGIT_LIMIT + 1)
+
 README_KEYS = {"command", "inputs", "value", "induced_minimum", "sharp", "trail"}
 
 
@@ -58,6 +64,9 @@ def test_parser_errors():
         parse_knot_expr("T(2,3\u00b2)")  # a superscript two is no ASCII digit
     with pytest.raises(ValidationError, match="syntax error at position 2: expected an integer"):
         parse_knot_expr("T(\u0663,4)")  # nor is an Arabic-Indic three
+    too_long = "integer at position 4 has too many digits" if DIGIT_LIMIT else "not coprime"
+    with pytest.raises(ValidationError, match=too_long):
+        parse_knot_expr(f"T(2,{LONG_EVEN})")
 
 
 def test_parser_round_trip():
@@ -249,6 +258,9 @@ def test_cli_validation_errors_and_exit_codes():
         ["ncf", "expand", "+7/2"],  # Fraction() reads it as 7/2
         ["ncf", "expand", "35e-1"],  # and this as 7/2
         ["examples", "kn", "--n", "+1"],
+        # More digits than int() converts: a validation error, not a traceback.
+        ["vseq", f"T(2,{LONG_EVEN})"],
+        *([["ncf", "eval", f"{LONG_EVEN},2"], ["ncf", "expand", f"{LONG_EVEN}/7"]] if DIGIT_LIMIT else []),
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])
         assert status == 2, argv
@@ -282,6 +294,10 @@ def test_cache_rejects_version_mismatch_and_corruption(tmp_path):
     # A key that does not parse is malformed too, not a stale V-sequence.
     path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,4)": [1, 0], "T(2,3)": [1, 0]}}))
     with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,4\)'"):
+        assert cache_load(path) == {}
+    # So is a key with more digits than int() converts.
+    path.write_text(json.dumps({"tool_version": __version__, "entries": {f"T(2,{LONG_EVEN})": [1, 0]}}))
+    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,4"):
         assert cache_load(path) == {}
 
 

@@ -481,6 +481,17 @@ def test_reduction_keeps_arrows_above_the_window():
         assert brute_tower_top(chain, (0, 0, 0), n, window) == 4, n
 
 
+def test_reduction_cancels_arrows_up_to_the_window():
+    from knotwind.complexes import _reduced_sublevels
+
+    # g1->g2 has exponent 2 at every level, at most the window 3: a single
+    # level cancels it and reads the tower off g0, at grading 2s - 4.
+    chain = BifilteredComplex(((0, 2), (3, 0), (6, 0)), {(1, 2): 2})
+    assert chain.alexander_radius + 1 == 3
+    for s in range(3):
+        assert list(_reduced_sublevels(chain, s, s)) == [(s, {0: 2 * s - 4})], s
+
+
 @pytest.mark.parametrize("text", ["T(3,7) # -T(2,11)", "-T(3,7) # -T(2,5)", "T(2,11) # -T(2,11)"])
 def test_reduced_search_matches_sublevel_complex_above_cross_check_size(text):
     from knotwind.complexes import _CROSS_CHECK_GENERATORS, _tower_tops, _truncation_order

@@ -1,12 +1,13 @@
 """The exact-input rule: integers are ints, rationals are exact, bools and floats are neither."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 import knotwind as K
 from knotwind.cli import fraction_str
-from knotwind.errors import exact_int, exact_rational
+from knotwind.errors import decimal_int, exact_int, exact_rational
 from knotwind.surgery import dtw_zero
 
 T = K.TorusKnot
@@ -120,3 +121,12 @@ def test_the_two_helpers():
                 "\u0663/2", "1_5/2", "+7/2", "35e-1", ".5", "5."):
         with pytest.raises(K.ValidationError, match="^d, got "):
             exact_rational(bad, "d")
+    # Text with more digits than int() converts is refused with the same message.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        digits = "7" * (limit + 1)
+        for bad in (digits, f"{digits}/2", f"2/{digits}"):
+            with pytest.raises(K.ValidationError, match="^d, got "):
+                exact_rational(bad, "d")
+        with pytest.raises(K.ValidationError, match="^n, got "):
+            decimal_int(digits, "n")

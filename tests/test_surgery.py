@@ -127,6 +127,11 @@ def test_correction_table_symmetry_and_errors():
         CorrectionTable(3, {0: Fraction(0), 1: Fraction(1), 2: Fraction(2)})
     with pytest.raises(ValidationError, match="cover"):
         CorrectionTable(3, {0: Fraction(0)})
+    with pytest.raises(ValidationError, match="cover"):
+        CorrectionTable(3, {0: Fraction(0), 1: Fraction(0), 5: Fraction(0)})  # three, one out of range
+    # The coverage check counts the keys before it would list 10^12 residues.
+    with pytest.raises(ValidationError, match="cover"):
+        CorrectionTable(10**12, {0: 0})
 
 
 def test_d_zero_twisted_examples():
