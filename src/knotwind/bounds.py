@@ -17,7 +17,7 @@ from fractions import Fraction
 from .complexes import A_SEMIGROUP, A_TOWER, complex_of, v_at, v_invariant, v_route
 from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
-from .semigroup import diamond_reduce, v_sequence_torus
+from .semigroup import diamond_reduce, semigroup_from_pair
 from .surgery import CorrectionTable, dtw_zero
 
 # Trail anchors: the identities the values are read off from.
@@ -234,11 +234,11 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
     j_knot = TorusKnot(4 * n + 2, 4 * n + 3)
     jp_expr = KnotExpression.torus(2 * n + 1, 4 * n + 3) + KnotExpression.torus(2 * n + 1, 4 * n + 3)
     m = (4 * n + 2) * (4 * n + 3)
-    v0_j = v_sequence_torus(j_knot).at(0)
+    v0_j = semigroup_from_pair(j_knot.p, j_knot.q).count_below(j_knot.genus)  # V_0 counts Gamma below g
     reduced = diamond_reduce(jp_expr)
     if reduced != TorusKnot(2 * n + 1, 8 * n + 5):
         raise InternalCheckError(f"multiplicity reduction of {jp_expr} returned {reduced}")
-    v0_jp = v_sequence_torus(reduced).at(0)
+    v0_jp = semigroup_from_pair(reduced.p, reduced.q).count_below(reduced.genus)
     trail = [
         TrailEntry("J", str(j_knot), A_KN_DATA),
         TrailEntry("J'", str(jp_expr), A_KN_DATA),

@@ -6,8 +6,10 @@ Every command renders one structured document:
 
 Rationals are serialised as reduced "num/den" strings (plain "num" when the
 denominator is 1), never as floats.  Exit status: 0 success, 2 validation
-error, 1 internal consistency failure or exhausted memory or recursion
-depth; --format json prints failures as {"error": {"kind", "message"}}.
+error (a result with more digits than the interpreter renders included),
+1 internal consistency failure, or exhausted memory, recursion depth or
+index range (an integer too large for a size); --format json prints
+failures as {"error": {"kind", "message"}}.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ A_PLUMBING = "plumbing"
 
 
 def fraction_str(value: Fraction | int) -> str:
-    return str(exact_rational(value, "fraction_str needs an exact rational"))  # "num/den" or "num"
+    value = exact_rational(value, "fraction_str needs an exact rational")
+    try:
+        return str(value)  # "num/den" or "num"
+    except ValueError:  # a numerator or denominator beyond the interpreter's digit limit
+        raise ValidationError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for integer string conversion"
+        ) from None
 
 
 def _plain(value: object) -> object:
@@ -340,7 +349,7 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
             if cache_path and memo != loaded:
                 cache_store(cache_path, memo)
             return 0, output, ""
-    except (ValidationError, InternalCheckError, MemoryError, RecursionError) as exc:
+    except (ValidationError, InternalCheckError, MemoryError, RecursionError, OverflowError) as exc:
         return _error_output(exc, fmt)
 
 

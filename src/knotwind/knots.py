@@ -9,12 +9,27 @@ knots have equal string representations (used as cache keys).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from typing import NoReturn
 
 from .errors import ValidationError, decimal_int, exact_int
 
 _SIGN = "summand sign must be +1 or -1"
+
+# One summand and the '#' after it, or the end of the text (group 4): an optional '-'
+# (group 1), then 'U' or 'T(p,q)' (groups 2 and 3), whitespace anywhere between.
+# [0-9], not \d: \d and str.isdigit accept the digits of other scripts too.
+_SUMMAND = re.compile(r"\s*(?:(-)\s*)?(?:[Uu]|[Tt]\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\))\s*(?:#|(\Z))")
+# The longest valid prefix of a summand; the last group it matched says what must follow.
+_PREFIX = re.compile(
+    r"\s*(?:-\s*)?(?:(?P<u>[Uu])|(?P<t>[Tt])\s*(?:(?P<open>\()\s*(?:(?P<p>[0-9]+)\s*"
+    r"(?:(?P<comma>,)\s*(?:(?P<q>[0-9]+)\s*(?P<close>\))?)?)?)?)?)?\s*"
+)
+_EXPECTED = {None: "'T(p,q)' or 'U'", "t": "'('", "open": "an integer", "p": "','", "comma": "an integer",
+             "q": "')'", "u": "'#' between summands", "close": "'#' between summands"}
 
 
 @dataclass(frozen=True)
@@ -127,63 +142,47 @@ def parse_knot_expr(text: str) -> KnotExpression:
     """Parse an expression such as ``T(2,3) # -T(4,5)``.
 
     Grammar: expr := term ('#' term)* ; term := ['-'] 'T' '(' int ',' int ')' | 'U'.
-    Whitespace is ignored everywhere.  Syntax errors report the offending
-    position; semantic errors (non-coprime, parameter < 2) name the pair.
+    Whitespace is ignored everywhere; an int is ASCII digits.  One pattern match
+    reads each summand with the '#' after it, or the end of the text.  A syntax
+    error is located by the longest valid prefix of the summand that failed,
+    and names what was expected there; semantic errors (non-coprime,
+    parameter < 2) name the pair.
     """
     if not isinstance(text, str):
         raise ValidationError("knot expression must be a string")
-    n = len(text)
-
-    def skip_ws(i: int) -> int:
-        while i < n and text[i].isspace():
-            i += 1
-        return i
-
-    def fail(pos: int, expected: str) -> None:
-        raise ValidationError(f"syntax error at position {pos}: expected {expected}")
-
-    def parse_int(i: int) -> tuple[int, int]:
-        j = i
-        while j < n and "0" <= text[j] <= "9":  # ASCII only: str.isdigit accepts superscripts too
-            j += 1
-        if j == i:
-            fail(i, "an integer")
-        return decimal_int(text[i:j], lambda: f"integer at position {i} has too many digits"), j
-
     summands: list[tuple[TorusKnot, int]] = []
-    i = skip_ws(0)
-    first = True
+    i = 0
     while True:
-        if not first:
-            i = skip_ws(i)
-            if i >= n:
-                break
-            if text[i] != "#":
-                fail(i, "'#' between summands")
-            i = skip_ws(i + 1)
-        first = False
-        sign = 1
-        if i < n and text[i] == "-":
-            sign = -1
-            i = skip_ws(i + 1)
-        if i < n and text[i] in "Uu":
-            i += 1
-            continue  # the unknot (mirrored or not) contributes nothing
-        if i >= n or text[i] not in "Tt":
-            fail(i, "'T(p,q)' or 'U'")
-        i = skip_ws(i + 1)
-        if i >= n or text[i] != "(":
-            fail(i, "'('")
-        i = skip_ws(i + 1)
-        p, i = parse_int(i)
-        i = skip_ws(i)
-        if i >= n or text[i] != ",":
-            fail(i, "','")
-        i = skip_ws(i + 1)
-        q, i = parse_int(i)
-        i = skip_ws(i)
-        if i >= n or text[i] != ")":
-            fail(i, "')'")
-        i += 1
-        summands.append((TorusKnot(p, q), sign))
-    return KnotExpression(tuple(summands))
+        m = _SUMMAND.match(text, i)
+        if m is None:
+            _fail(text, i)
+        sign, p, q, end = m.groups()
+        if p is not None:  # else the unknot, mirrored or not, which contributes nothing
+            try:
+                summands.append((_torus(p, q), -1 if sign else 1))
+            except ValueError:  # too many digits, or no torus knot
+                _fail(text, i)
+        if end is not None:
+            return KnotExpression(tuple(summands))
+        i = m.end()
+
+
+@lru_cache(maxsize=None)
+def _torus(p: str, q: str) -> TorusKnot:
+    """T(p,q) from its ASCII digits, built once per pair: summands repeat, as cache keys do."""
+    return TorusKnot(int(p), int(q))
+
+
+def _fail(text: str, i: int) -> NoReturn:
+    """Raise the error of the summand at i, in the order the summand reads.
+
+    An integer too long to convert comes first, then a pair that is no torus
+    knot, then the syntax error at the end of the longest valid prefix.
+    """
+    m = _PREFIX.match(text, i)
+    for group in ("p", "q"):
+        if m[group] is not None:
+            decimal_int(m[group], lambda: f"integer at position {m.start(group)} has too many digits")
+    if m["close"] is not None:
+        _torus(m["p"], m["q"])
+    raise ValidationError(f"syntax error at position {m.end()}: expected {_EXPECTED[m.lastgroup]}")

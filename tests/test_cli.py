@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotwind import (
@@ -24,6 +24,7 @@ from knotwind import (
 from knotwind import __version__
 from knotwind import cli
 from knotwind.cli import fraction_str, run
+from knotwind.errors import decimal_int
 
 # The most digits int() converts from text, or 0 where the interpreter has no limit.
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -105,6 +106,94 @@ def test_parser_round_trips_with_any_spacing_and_case(expr, data):
     spaced = "".join(gap + (token.lower() if low else token)
                      for gap, token, low in zip(gaps, tokens, lower)) + gaps[-1]
     assert parse_knot_expr(spaced) == expr
+
+
+def scanner_parse(text):
+    """The reference parser, one character at a time; `parse_knot_expr` must agree with it."""
+    if not isinstance(text, str):
+        raise ValidationError("knot expression must be a string")
+    n = len(text)
+
+    def skip_ws(i):
+        while i < n and text[i].isspace():
+            i += 1
+        return i
+
+    def fail(pos, expected):
+        raise ValidationError(f"syntax error at position {pos}: expected {expected}")
+
+    def parse_int(i):
+        j = i
+        while j < n and "0" <= text[j] <= "9":
+            j += 1
+        if j == i:
+            fail(i, "an integer")
+        return decimal_int(text[i:j], lambda: f"integer at position {i} has too many digits"), j
+
+    summands = []
+    i = skip_ws(0)
+    first = True
+    while True:
+        if not first:
+            i = skip_ws(i)
+            if i >= n:
+                break
+            if text[i] != "#":
+                fail(i, "'#' between summands")
+            i = skip_ws(i + 1)
+        first = False
+        sign = 1
+        if i < n and text[i] == "-":
+            sign = -1
+            i = skip_ws(i + 1)
+        if i < n and text[i] in "Uu":
+            i += 1
+            continue
+        if i >= n or text[i] not in "Tt":
+            fail(i, "'T(p,q)' or 'U'")
+        i = skip_ws(i + 1)
+        if i >= n or text[i] != "(":
+            fail(i, "'('")
+        i = skip_ws(i + 1)
+        p, i = parse_int(i)
+        i = skip_ws(i)
+        if i >= n or text[i] != ",":
+            fail(i, "','")
+        i = skip_ws(i + 1)
+        q, i = parse_int(i)
+        i = skip_ws(i)
+        if i >= n or text[i] != ")":
+            fail(i, "')'")
+        i += 1
+        summands.append((TorusKnot(p, q), sign))
+    return KnotExpression(tuple(summands))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+# The grammar's characters, Unicode whitespace, digits of other scripts, and a
+# parameter too long for int() (or, with no digit limit, even).
+PARSER_TOKENS = [*"TtUu()#,-0123456789 \t\n", "\u00a0", "\u2003", "\u00b2", "\u0663", "x", LONG_EVEN]
+
+
+@st.composite
+def one_token_off(draw):
+    """A valid expression with one character replaced by a token, or the token appended."""
+    text = str(draw(signed_sums))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(PARSER_TOKENS)) + text[at + 1:]
+
+
+@settings(max_examples=20 * settings.default.max_examples)  # cheap: twenty times the profile's
+@example(f"T({LONG_EVEN},{LONG_EVEN}) # T(2,4)")  # the first of two errors is raised
+@given(st.one_of(st.lists(st.sampled_from(PARSER_TOKENS), max_size=24).map("".join), one_token_off()))
+def test_parser_matches_the_reference_scanner(text):
+    assert parse_outcome(parse_knot_expr, text) == parse_outcome(scanner_parse, text)
 
 
 def test_mirror_involution():
@@ -261,10 +350,17 @@ def test_cli_validation_errors_and_exit_codes():
         # More digits than int() converts: a validation error, not a traceback.
         ["vseq", f"T(2,{LONG_EVEN})"],
         *([["ncf", "eval", f"{LONG_EVEN},2"], ["ncf", "expand", f"{LONG_EVEN}/7"]] if DIGIT_LIMIT else []),
+        # Results with more digits than str() renders, from inputs within the limit.
+        *([["ncf", "eval", ",".join(["9" * (DIGIT_LIMIT // 4)] * 5)],
+           ["seifert", "kn", "--n", "7" * (DIGIT_LIMIT * 2 // 3)]] if DIGIT_LIMIT else []),
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])
         assert status == 2, argv
         assert json.loads(out)["error"]["kind"] == "validation", argv
+    # An index too large for a machine size is a resource failure, not a traceback.
+    status, out, _ = run(["examples", "kn", "--n", "9" * 30, "--no-cache", "--format", "json"])
+    assert status == 1
+    assert json.loads(out)["error"]["kind"] == "resource"
     status, _, _ = run([])
     assert status == 2
     status, _, _ = run(["nonsense"])
