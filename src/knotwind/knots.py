@@ -11,24 +11,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
-from typing import NoReturn
 
-from .errors import ValidationError, decimal_int, exact_int
+from .errors import ValidationError, exact_int
 
 _SIGN = "summand sign must be +1 or -1"
 
-# One summand and the '#' after it, or the end of the text (group 4): an optional '-'
-# (group 1), then 'U' or 'T(p,q)' (groups 2 and 3), whitespace anywhere between.
-# [0-9], not \d: \d and str.isdigit accept the digits of other scripts too.
-_SUMMAND = re.compile(r"\s*(?:(-)\s*)?(?:[Uu]|[Tt]\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\))\s*(?:#|(\Z))")
-# The longest valid prefix of a summand; the last group it matched says what must follow.
-_PREFIX = re.compile(
-    r"\s*(?:-\s*)?(?:(?P<u>[Uu])|(?P<t>[Tt])\s*(?:(?P<open>\()\s*(?:(?P<p>[0-9]+)\s*"
-    r"(?:(?P<comma>,)\s*(?:(?P<q>[0-9]+)\s*(?P<close>\))?)?)?)?)?)?\s*"
+# The longest valid prefix of a summand: an optional '-', then 'U' or 'T(p,q)', whitespace
+# anywhere between.  Every step may be empty, so it always matches; the summand is whole
+# when the last group matched is `u` or `close`, and otherwise that group says what must
+# follow.  An empty alternative `(?:...|)` marks a step optional: `re` matches it faster
+# than `(?:...)?`.  [0-9], not \d: \d and str.isdigit accept the digits of other scripts too.
+_SUMMAND = re.compile(
+    r"\s*(?:(?P<sign>-)\s*|)(?:(?P<u>[Uu])|(?P<t>[Tt])\s*(?:(?P<open>\()\s*(?:(?P<p>[0-9]+)\s*"
+    r"(?:(?P<comma>,)\s*(?:(?P<q>[0-9]+)\s*(?:(?P<close>\))|)|)|)|)|)|)\s*"
 )
-_EXPECTED = {None: "'T(p,q)' or 'U'", "t": "'('", "open": "an integer", "p": "','", "comma": "an integer",
+_TERM = "'T(p,q)' or 'U'"
+_EXPECTED = {None: _TERM, "sign": _TERM, "t": "'('", "open": "an integer", "p": "','", "comma": "an integer",
              "q": "')'", "u": "'#' between summands", "close": "'#' between summands"}
 
 
@@ -41,8 +40,9 @@ class TorusKnot:
 
     def __post_init__(self) -> None:
         p, q = self.p, self.q
-        for v in (p, q):
-            exact_int(v, lambda: f"torus knot parameters must be integers, got ({p!r},{q!r})")
+        if p.__class__ is not int or q.__class__ is not int:  # the class test first: plain ints are hot
+            for v in (p, q):
+                exact_int(v, lambda: f"torus knot parameters must be integers, got ({p!r},{q!r})")
         if p > q:
             p, q = q, p
             object.__setattr__(self, "p", p)
@@ -143,10 +143,11 @@ def parse_knot_expr(text: str) -> KnotExpression:
 
     Grammar: expr := term ('#' term)* ; term := ['-'] 'T' '(' int ',' int ')' | 'U'.
     Whitespace is ignored everywhere; an int is ASCII digits.  One pattern match
-    reads each summand with the '#' after it, or the end of the text.  A syntax
-    error is located by the longest valid prefix of the summand that failed,
-    and names what was expected there; semantic errors (non-coprime,
-    parameter < 2) name the pair.
+    reads each summand, as its longest valid prefix; then a '#' or the end of the
+    text must follow.  Errors come in the order the summand reads: an integer
+    too long to convert, then a pair that is no torus knot (non-coprime,
+    parameter < 2), then a syntax error at the end of that prefix, naming what
+    was expected there.
     """
     if not isinstance(text, str):
         raise ValidationError("knot expression must be a string")
@@ -154,35 +155,27 @@ def parse_knot_expr(text: str) -> KnotExpression:
     i = 0
     while True:
         m = _SUMMAND.match(text, i)
-        if m is None:
-            _fail(text, i)
-        sign, p, q, end = m.groups()
-        if p is not None:  # else the unknot, mirrored or not, which contributes nothing
-            try:
-                summands.append((_torus(p, q), -1 if sign else 1))
-            except ValueError:  # too many digits, or no torus knot
-                _fail(text, i)
-        if end is not None:
-            return KnotExpression(tuple(summands))
+        last = m.lastgroup
+        pair = _integers(m) if m["p"] is not None else ()
+        if last == "close":
+            summands.append((TorusKnot(*pair), -1 if m["sign"] else 1))
         i = m.end()
+        if last == "close" or last == "u":  # the unknot, mirrored or not, contributes nothing
+            if i == len(text):
+                return KnotExpression(tuple(summands))
+            if text[i] == "#":
+                i += 1
+                continue
+        raise ValidationError(f"syntax error at position {i}: expected {_EXPECTED[last]}")
 
 
-@lru_cache(maxsize=None)
-def _torus(p: str, q: str) -> TorusKnot:
-    """T(p,q) from its ASCII digits, built once per pair: summands repeat, as cache keys do."""
-    return TorusKnot(int(p), int(q))
-
-
-def _fail(text: str, i: int) -> NoReturn:
-    """Raise the error of the summand at i, in the order the summand reads.
-
-    An integer too long to convert comes first, then a pair that is no torus
-    knot, then the syntax error at the end of the longest valid prefix.
-    """
-    m = _PREFIX.match(text, i)
-    for group in ("p", "q"):
-        if m[group] is not None:
-            decimal_int(m[group], lambda: f"integer at position {m.start(group)} has too many digits")
-    if m["close"] is not None:
-        _torus(m["p"], m["q"])
-    raise ValidationError(f"syntax error at position {m.end()}: expected {_EXPECTED[m.lastgroup]}")
+def _integers(m: re.Match) -> list[int]:
+    """The integers of the summand matched so far, p before q; the pattern admits only ASCII digits."""
+    values = []
+    for g in ("p", "q"):
+        if m[g] is not None:
+            try:
+                values.append(int(m[g]))
+            except ValueError:  # longer than the interpreter's digit limit
+                raise ValidationError(f"integer at position {m.start(g)} has too many digits") from None
+    return values

@@ -221,11 +221,6 @@ small_sums = st.lists(
 
 
 @given(small_sums)
-def test_parser_reads_back_what_it_prints(expr):
-    assert parse_knot_expr(str(expr)) == expr
-
-
-@given(small_sums)
 def test_v_at_agrees_with_v_sequence_on_every_route(expr):
     seq = v_sequence(expr)
     levels = range(expr.genus + 2)
