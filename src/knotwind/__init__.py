@@ -16,7 +16,6 @@ from .bounds import (
     EssentialInput,
     TrailEntry,
     correction_rhs,
-    essential_bound,
     essential_report,
     multi_sphere_bound,
     reproduce_kn,
@@ -49,7 +48,6 @@ from .semigroup import (
     MultiplicitySequence,
     NumericalSemigroup,
     VSequence,
-    count_below,
     diamond_reduce,
     multiplicity_sequence,
     semigroup_from_pair,
@@ -66,7 +64,6 @@ from .surgery import (
     d_circle_bundle_twisted,
     d_positive_surgery,
     d_zero_twisted,
-    euler_number,
     kn_seifert,
     ncf_eval,
     ncf_expand,

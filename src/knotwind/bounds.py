@@ -41,6 +41,9 @@ A_ESSENTIAL = "gw(K) >= 2 max_t { d(Y,t) - d(Y,t_op) }"
 A_OPPOSITE = "t_op = t + (w^2/2) PD[mu]"
 A_MIXED = "mixed-orientation sums carry no independent anchor"
 
+# reproduce_kn compares V_0(J') with homology up to this genus of J': n = 2 gives 40, n = 3 gives 84.
+_KN_CROSS_CHECK_GENUS = 50
+
 
 @dataclass(frozen=True)
 class TrailEntry:
@@ -190,11 +193,6 @@ def essential_report(data: EssentialInput) -> BoundReport:
     return BoundReport(2 * gaps[best], None, {"w": data.w}, trail)
 
 
-def essential_bound(data: EssentialInput) -> Fraction:
-    """The value of `essential_report`."""
-    return essential_report(data).value
-
-
 def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
     """Lower bound for the 0-shake genus, computed by two routes that must agree."""
     expr = as_expression(knot)
@@ -217,15 +215,15 @@ def shake_bound(knot: KnotExpression | TorusKnot) -> BoundReport:
     return BoundReport(value, None, {"expr": str(expr)}, trail)
 
 
-def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundReport:
+def reproduce_kn(n: int) -> BoundReport:
     """Run the whole K_n bound chain and assert every intermediate identity.
 
     J = T(4n+2,4n+3) and J' = T(2n+1,4n+3) # T(2n+1,4n+3) are the two
     blow-down knots of the family; m = (4n+2)(4n+3) is the surgery slope.
     V_0(J') is taken through the multiplicity-sequence reduction to
-    T(2n+1,8n+5), cross-checked against the chain complex when the genus is
-    small enough (pass homology_cross_check to force either way); the complex
-    is built and searched every time, never read from the V-memo.  The chain
+    T(2n+1,8n+5), cross-checked against the chain complex when the genus of
+    J' is at most `_KN_CROSS_CHECK_GENUS` (n <= 2); the complex is built and
+    searched every time, never read from the V-memo.  The chain
     dtw(Y_0) + dtw(-Y_0) + 1 must equal 2n+2 exactly, giving the even
     induced minimum 4n+2, sharp against the explicit sphere with 4n+2
     intersections.
@@ -247,9 +245,7 @@ def reproduce_kn(n: int, homology_cross_check: bool | None = None) -> BoundRepor
         TrailEntry("reduction of J'", str(reduced), A_DIAMOND),
         TrailEntry("V_0(J')", v0_jp, A_SEMIGROUP),
     ]
-    if homology_cross_check is None:
-        homology_cross_check = jp_expr.genus <= 50
-    if homology_cross_check:
+    if jp_expr.genus <= _KN_CROSS_CHECK_GENUS:
         hom = v_invariant(complex_of(jp_expr), 0)
         if hom != v0_jp:
             raise InternalCheckError(

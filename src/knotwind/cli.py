@@ -6,10 +6,10 @@ Every command renders one structured document:
 
 Rationals are serialised as reduced "num/den" strings (plain "num" when the
 denominator is 1), never as floats.  Exit status: 0 success, 2 validation
-error (a result with more digits than the interpreter renders included),
-1 internal consistency failure, or exhausted memory, recursion depth or
-index range (an integer too large for a size); --format json prints
-failures as {"error": {"kind", "message"}}.
+error (an input too big to compute, or a result with more digits than the
+interpreter renders, included), 1 internal consistency failure, or exhausted
+memory, recursion depth or index range (an integer too large for a size);
+--format json prints failures as {"error": {"kind", "message"}}.
 """
 
 from __future__ import annotations

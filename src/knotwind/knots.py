@@ -89,8 +89,9 @@ class KnotExpression:
         return cls(())
 
     @classmethod
-    def torus(cls, p: int, q: int, sign: int = 1) -> "KnotExpression":
-        return cls(((TorusKnot(p, q), sign),))
+    def torus(cls, p: int, q: int) -> "KnotExpression":
+        """T(p,q) alone; its mirror is -KnotExpression.torus(p, q)."""
+        return cls(((TorusKnot(p, q), 1),))
 
     def mirror(self) -> "KnotExpression":
         return KnotExpression(tuple((k, -s) for k, s in self.summands))

@@ -12,7 +12,7 @@ from knotwind import (
     TorusKnot,
     ValidationError,
     correction_rhs,
-    essential_bound,
+    essential_report,
     multi_sphere_bound,
     parse_knot_expr,
     reproduce_kn,
@@ -102,11 +102,11 @@ def test_multi_sphere_bound_examples():
 
 def test_essential_bound_examples():
     constant = EssentialInput(2, {k: Fraction(1, 3) for k in range(4)})
-    assert essential_bound(constant) == 0
+    assert essential_report(constant).value == 0
     spiked = EssentialInput(2, {0: Fraction(1), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)})
-    assert essential_bound(spiked) == 2
+    assert essential_report(spiked).value == 2
     symmetric = EssentialInput(2, {0: Fraction(1), 1: Fraction(2), 2: Fraction(1), 3: Fraction(2)})
-    assert essential_bound(symmetric) == 0
+    assert essential_report(symmetric).value == 0
 
 
 def test_essential_bound_constant_shift_invariance():
@@ -114,9 +114,9 @@ def test_essential_bound_constant_shift_invariance():
     for _ in range(20):
         w = rng.choice((2, 4))
         table = {k: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for k in range(w * w)}
-        base = essential_bound(EssentialInput(w, table))
+        base = essential_report(EssentialInput(w, table)).value
         shift = Fraction(rng.randint(-5, 5), 2)
-        shifted = essential_bound(EssentialInput(w, {k: v + shift for k, v in table.items()}))
+        shifted = essential_report(EssentialInput(w, {k: v + shift for k, v in table.items()})).value
         assert base == shifted
 
 

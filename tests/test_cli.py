@@ -353,14 +353,16 @@ def test_cli_validation_errors_and_exit_codes():
         # Results with more digits than str() renders, from inputs within the limit.
         *([["ncf", "eval", ",".join(["9" * (DIGIT_LIMIT // 4)] * 5)],
            ["seifert", "kn", "--n", "7" * (DIGIT_LIMIT * 2 // 3)]] if DIGIT_LIMIT else []),
+        # Inputs too big to compute fail fast: a semigroup conductor above 10^6, whose table
+        # would not fit an index-sized integer at 30 digits, and an expansion past 10,000 terms.
+        ["examples", "kn", "--n", "9" * 30],
+        ["vseq", "T(30001,30002)"],
+        ["vseq", "T(2,3) # -T(30001,30002)"],
+        ["ncf", "expand", f"1{'0' * 4000}1/1{'0' * 4000}"],
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])
         assert status == 2, argv
         assert json.loads(out)["error"]["kind"] == "validation", argv
-    # An index too large for a machine size is a resource failure, not a traceback.
-    status, out, _ = run(["examples", "kn", "--n", "9" * 30, "--no-cache", "--format", "json"])
-    assert status == 1
-    assert json.loads(out)["error"]["kind"] == "resource"
     status, _, _ = run([])
     assert status == 2
     status, _, _ = run(["nonsense"])
@@ -562,6 +564,7 @@ def test_cache_entries_without_the_v_sequence_shape_are_recomputed(tmp_path, ent
         ("v_sequence", MemoryError()),
         ("v_sequence", RecursionError("maximum recursion depth exceeded")),
         ("cache_load", MemoryError()),
+        ("v_sequence", OverflowError("cannot fit 'int' into an index-sized integer")),
     ],
 )
 def test_resource_failures_get_an_error_document(tmp_path, monkeypatch, target, error):

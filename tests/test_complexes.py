@@ -18,6 +18,8 @@ from knotwind import (
     ValidationError,
     VSequence,
     complex_of,
+    correction_table,
+    d_positive_surgery,
     dualize,
     parse_knot_expr,
     staircase,
@@ -229,6 +231,14 @@ def test_v_at_agrees_with_v_sequence_on_every_route(expr):
     for entries in ({}, {str(expr): list(seq.values)}):
         with v_memo(entries):
             assert [v_at(expr, s) for s in levels] == expected
+
+
+@given(small_sums)
+def test_correction_table_matches_d_positive_surgery_at_every_label(expr):
+    seq = v_sequence(expr)
+    for n in range(1, 2 * expr.genus + 4):
+        table = correction_table(expr, n)
+        assert [table[i] for i in range(n)] == [d_positive_surgery(expr, n, i, seq) for i in range(n)], n
 
 
 @given(small_sums)
@@ -542,7 +552,7 @@ def test_sweep_tops_match_single_level_reads(expr, pair):
     from knotwind.complexes import _reduced_sublevels, _tower_tops
 
     if pair is not None:  # a K # -K pair: V ends in a run of zeros that the sweep skips
-        expr = expr + KnotExpression.torus(*pair) + KnotExpression.torus(*pair, -1)
+        expr = expr + KnotExpression.torus(*pair) + -KnotExpression.torus(*pair)
         assume(generator_count(expr) <= 1000)
     chain = complex_of(expr)
     tops = _tower_tops(chain, 0, expr.genus)

@@ -38,7 +38,6 @@ COERCED = {
     "CorrectionTable mistyped keys": lambda: K.CorrectionTable(2, {"0": 1, 1.0: 2}),
     # bool and float variants of the other entry points
     "KnotExpression float sign": lambda: K.KnotExpression(((T(2, 3), 1.0),)),
-    "count_below bool": lambda: K.count_below(SEMIGROUP, True),
     "NumericalSemigroup.count_below bool": lambda: SEMIGROUP.count_below(False),
     "VSequence bool": lambda: K.VSequence((True, 0)),
     "VSequence.at bool": lambda: K.VSequence((1, 0)).at(False),

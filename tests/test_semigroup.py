@@ -10,7 +10,6 @@ from knotwind import (
     TorusKnot,
     ValidationError,
     VSequence,
-    count_below,
     diamond_reduce,
     multiplicity_sequence,
     parse_knot_expr,
@@ -76,12 +75,16 @@ def test_semigroup_validation_errors():
         semigroup_from_pair(2, 4)
     with pytest.raises(ValidationError, match=">= 2"):
         semigroup_from_pair(1, 5)
+    # The membership table holds one entry per position below the conductor (p-1)(q-1).
+    for p, q in ((1001, 1002), (30001, 30002), (10**15, 10**15 + 1), (2, 10**6 + 3)):
+        with pytest.raises(ValidationError, match="conductor .* exceeds the limit 1000000"):
+            semigroup_from_pair(p, q)
 
 
 def test_count_below_examples():
-    assert count_below(semigroup_from_pair(2, 3), 1) == 1
-    assert count_below(semigroup_from_pair(4, 5), 6) == 3  # elements 0, 4, 5
-    assert count_below(semigroup_from_pair(6, 7), 15) == 6  # (1/2) n (n+1) at n = 3
+    assert semigroup_from_pair(2, 3).count_below(1) == 1
+    assert semigroup_from_pair(4, 5).count_below(6) == 3  # elements 0, 4, 5
+    assert semigroup_from_pair(6, 7).count_below(15) == 6  # (1/2) n (n+1) at n = 3
 
 
 def test_count_below_matches_ceiling_oracle():
@@ -102,7 +105,7 @@ def test_count_below_beyond_conductor():
 
 def test_count_below_rejects_negative():
     with pytest.raises(ValidationError):
-        count_below(semigroup_from_pair(2, 3), -1)
+        semigroup_from_pair(2, 3).count_below(-1)
 
 
 def test_v_sequence_examples():

@@ -18,7 +18,6 @@ from knotwind import (
     d_circle_bundle_twisted,
     d_positive_surgery,
     d_zero_twisted,
-    euler_number,
     kn_seifert,
     ncf_eval,
     ncf_expand,
@@ -170,6 +169,10 @@ def test_ncf_expand_examples_and_validation():
         ncf_expand(Fraction(1, 1))
     with pytest.raises(ValidationError):
         ncf_expand(Fraction(2, 3))
+    # (n+1)/n expands to n twos: 10,000 is the most a single expansion gives.
+    assert ncf_expand(Fraction(10_001, 10_000)) == [2] * 10_000
+    with pytest.raises(ValidationError, match="more than 10000 coefficients"):
+        ncf_expand(Fraction(10_002, 10_001))
 
 
 def test_ncf_round_trip_exhaustive_short():
@@ -194,7 +197,7 @@ def test_ncf_family_identities():
 
 def test_seifert_presentation_and_euler():
     empty = SeifertPresentation(0, ())
-    assert euler_number(empty) == 0
+    assert empty.euler_number == 0
     with pytest.raises(ValidationError):
         SeifertPresentation(0, (Fraction(3, 2),))
     presentation = kn_seifert(1)
@@ -205,13 +208,13 @@ def test_seifert_presentation_and_euler():
         Fraction(2, 7),
         Fraction(2, 7),
     )
-    assert euler_number(presentation) == Fraction(-2, 21)
+    assert presentation.euler_number == Fraction(-2, 21)
 
 
 def test_kn_seifert_euler_closed_form_and_sign():
     for n in range(1, 101):
         expected = 2 * (Fraction(2, 4 * n + 3) - Fraction(1, 2 * n + 1))
-        value = euler_number(kn_seifert(n))
+        value = kn_seifert(n).euler_number
         assert value == expected
         assert value < 0
     with pytest.raises(ValidationError):
