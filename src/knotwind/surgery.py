@@ -22,10 +22,10 @@ from fractions import Fraction
 from .complexes import v_at, v_sequence
 from .errors import InternalCheckError, ValidationError, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
-from .semigroup import VSequence
 
 _COEFFICIENT = "surgery coefficient must be a positive integer"
 _NCF_TERM_LIMIT = 10_000
+_LABEL_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,14 @@ class CorrectionTable:
         return self.entries[i]
 
 
-def d_positive_surgery(
-    knot: KnotExpression | TorusKnot,
-    n: int,
-    i: int,
-    vseq: VSequence | None = None,
-) -> Fraction:
+def d_positive_surgery(knot: KnotExpression | TorusKnot, n: int, i: int) -> Fraction:
     """d(S^3_n(K), t_i) for positive n via the surgery formula above.
 
     V is non-increasing, so max{V_i, V_{n-i}} is V at min(i, n - i).
     """
     SpincLabel(n, i)  # validates n >= 1 and 0 <= i < n
     j = min(i, n - i)
-    return _d(n, j, v_at(as_expression(knot), j) if vseq is None else vseq.at(j))
+    return _d(n, j, v_at(as_expression(knot), j))
 
 
 def _d(n: int, i: int, v: int) -> Fraction:
@@ -94,8 +89,14 @@ def _d(n: int, i: int, v: int) -> Fraction:
 
 
 def correction_table(knot: KnotExpression | TorusKnot, n: int) -> CorrectionTable:
-    """All d-invariants of the n-surgery, one per conjugate pair, checked by `CorrectionTable`."""
-    exact_int(n, _COEFFICIENT, 1)
+    """All d-invariants of the n-surgery, one per conjugate pair, checked by `CorrectionTable`.
+
+    The table holds one entry per label, so n above `_LABEL_LIMIT` is rejected
+    before anything is computed: a table at the limit takes 0.4 to 0.7 s and
+    53 MB (2-vCPU VM).  `d_positive_surgery` reads one label at any n.
+    """
+    if exact_int(n, _COEFFICIENT, 1) > _LABEL_LIMIT:  # no n in the message: it may be too long to print
+        raise ValidationError(f"a correction table covers at most {_LABEL_LIMIT} spin^c labels")
     seq = v_sequence(as_expression(knot))
     half = [_d(n, j, seq.at(j)) for j in range(n // 2 + 1)]
     return CorrectionTable(n, {i: half[min(i, n - i)] for i in range(n)})

@@ -30,6 +30,7 @@ from knotwind import (
     v0_family_knot,
     v_at,
     v_invariant,
+    v_memo,
     v_sequence,
     v_sequence_torus,
     winding_bound_via_zero_surgery,
@@ -78,14 +79,13 @@ def test_criterion_3_connected_sum_surgery_identity():
         for n in (2, 3, 4, 5):
             summed = KnotExpression.torus(n, 2 * n + 1) + KnotExpression.torus(n, 2 * n + 1)
             single = KnotExpression.torus(n, 4 * n + 1)
-            seq_sum = v_sequence(summed)
-            seq_single = v_sequence(single)
-            assert list(seq_sum) == list(seq_single), n
-            for m in range(1, 4 * n + 2):
-                for i in range(m):
-                    left = d_positive_surgery(summed, m, i, vseq=seq_sum)
-                    right = d_positive_surgery(single, m, i, vseq=seq_single)
-                    assert left == right, (n, m, i)
+            with v_memo({}):
+                assert list(v_sequence(summed)) == list(v_sequence(single)), n
+                for m in range(1, 4 * n + 2):
+                    for i in range(m):
+                        left = d_positive_surgery(summed, m, i)
+                        right = d_positive_surgery(single, m, i)
+                        assert left == right, (n, m, i)
 
 
 def test_criterion_4_whitehead_example():
@@ -165,12 +165,10 @@ def test_criterion_8_property_suite(tmp_path):
             for i in range(len(seq) - 1):
                 assert 0 <= seq.at(i) - seq.at(i + 1) <= 1
         trefoil = KnotExpression.torus(2, 3)
-        seq = v_sequence(trefoil)
-        for n in range(1, 51):
-            for i in range(1, n):
-                assert d_positive_surgery(trefoil, n, i, vseq=seq) == d_positive_surgery(
-                    trefoil, n, n - i, vseq=seq
-                )
+        with v_memo({}):
+            for n in range(1, 51):
+                for i in range(1, n):
+                    assert d_positive_surgery(trefoil, n, i) == d_positive_surgery(trefoil, n, n - i)
         unknot = KnotExpression.unknot()
         for n in range(1, 31):
             table = correction_table(unknot, n)

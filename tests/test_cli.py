@@ -354,15 +354,20 @@ def test_cli_validation_errors_and_exit_codes():
         *([["ncf", "eval", ",".join(["9" * (DIGIT_LIMIT // 4)] * 5)],
            ["seifert", "kn", "--n", "7" * (DIGIT_LIMIT * 2 // 3)]] if DIGIT_LIMIT else []),
         # Inputs too big to compute fail fast: a semigroup conductor above 10^6, whose table
-        # would not fit an index-sized integer at 30 digits, and an expansion past 10,000 terms.
+        # would not fit an index-sized integer at 30 digits, an expansion past 10,000 terms
+        # and a correction table of more than 100,000 labels.
         ["examples", "kn", "--n", "9" * 30],
         ["vseq", "T(30001,30002)"],
         ["vseq", "T(2,3) # -T(30001,30002)"],
         ["ncf", "expand", f"1{'0' * 4000}1/1{'0' * 4000}"],
+        ["dinv", "T(2,3)", "--n", "100001", "--all"],
     ):
         status, out, _ = run([*argv, "--no-cache", "--format", "json"])
         assert status == 2, argv
         assert json.loads(out)["error"]["kind"] == "validation", argv
+    # A single label is one value, at any n.
+    status, out, _ = run(["dinv", "T(2,3)", "--n", "100001", "--i", "0", "--no-cache", "--format", "json"])
+    assert status == 0 and json.loads(out)["value"] == "24998"  # (n - 9) / 4 at V_0 = 1
     status, _, _ = run([])
     assert status == 2
     status, _, _ = run(["nonsense"])

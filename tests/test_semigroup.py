@@ -37,6 +37,8 @@ def ceiling_count(p, q, t):
 
 
 COPRIME_PAIRS = [(p, q) for p in range(2, 12) for q in range(p + 1, 13) if gcd(p, q) == 1]
+# A large q/p ratio (few slices, each long) and p close to q (many short slices).
+SKEWED_PAIRS = [(2, 101), (3, 100), (7, 50), (13, 14), (19, 21)]
 
 
 def test_semigroup_2_3_matches_enumeration():
@@ -48,7 +50,7 @@ def test_semigroup_2_3_matches_enumeration():
 
 
 def test_semigroup_membership_matches_enumeration_oracle():
-    for p, q in COPRIME_PAIRS:
+    for p, q in COPRIME_PAIRS + SKEWED_PAIRS:
         s = semigroup_from_pair(p, q)
         expected = brute_members(p, q, s.conductor)
         got = {m for m in range(s.conductor) if s.contains(m)}
@@ -56,7 +58,7 @@ def test_semigroup_membership_matches_enumeration_oracle():
 
 
 def test_gap_count_equals_genus():
-    for p, q in COPRIME_PAIRS:
+    for p, q in COPRIME_PAIRS + SKEWED_PAIRS:
         s = semigroup_from_pair(p, q)
         assert s.conductor - s.count_below(s.conductor) == (p - 1) * (q - 1) // 2
 
@@ -88,7 +90,7 @@ def test_count_below_examples():
 
 
 def test_count_below_matches_ceiling_oracle():
-    for p, q in COPRIME_PAIRS:
+    for p, q in COPRIME_PAIRS + SKEWED_PAIRS:
         s = semigroup_from_pair(p, q)
         for t in range(0, min(p * q, 3 * s.conductor + 2)):
             assert s.count_below(t) == ceiling_count(p, q, t), (p, q, t)

@@ -22,7 +22,7 @@ from knotwind import (
     ncf_eval,
     ncf_expand,
     parse_knot_expr,
-    v_sequence,
+    v_memo,
 )
 
 TREFOIL = KnotExpression.torus(2, 3)
@@ -64,9 +64,12 @@ def test_d_positive_surgery_builds_one_complex(monkeypatch):
 
     monkeypatch.setattr(complexes, "complex_of", counting)
     expr = parse_knot_expr("T(3,4) # -T(2,5)")
-    assert d_positive_surgery(expr, 5, 1) == d_positive_surgery(expr, 5, 1, vseq=v_sequence(expr))
+    d = d_positive_surgery(expr, 5, 1)
+    assert built == [str(expr)]
     built.clear()
-    d_positive_surgery(expr, 5, 1)
+    with v_memo({}):
+        assert d_positive_surgery(expr, 5, 1) == d
+        assert d_positive_surgery(expr, 5, 4) == d  # the conjugate label reads the memo
     assert built == [str(expr)]
 
 
@@ -84,33 +87,30 @@ def test_conjugation_symmetry_up_to_50():
         parse_knot_expr("-T(4,5)"),
         UNKNOT,
     ]
-    for expr in knots:
-        seq = v_sequence(expr)
-        for n in range(1, 51):
-            for i in range(1, n):
-                left = d_positive_surgery(expr, n, i, vseq=seq)
-                right = d_positive_surgery(expr, n, n - i, vseq=seq)
-                assert left == right, (str(expr), n, i)
+    with v_memo({}):
+        for expr in knots:
+            for n in range(1, 51):
+                for i in range(1, n):
+                    left = d_positive_surgery(expr, n, i)
+                    right = d_positive_surgery(expr, n, n - i)
+                    assert left == right, (str(expr), n, i)
 
 
 def test_denominator_divides_4n():
-    for expr in (TREFOIL, parse_knot_expr("T(3,4)"), UNKNOT):
-        seq = v_sequence(expr)
-        for n in (1, 2, 3, 7, 12):
-            for i in range(n):
-                d = d_positive_surgery(expr, n, i, vseq=seq)
-                assert (4 * n) % d.denominator == 0
+    with v_memo({}):
+        for expr in (TREFOIL, parse_knot_expr("T(3,4)"), UNKNOT):
+            for n in (1, 2, 3, 7, 12):
+                for i in range(n):
+                    d = d_positive_surgery(expr, n, i)
+                    assert (4 * n) % d.denominator == 0
 
 
 def test_surgery_diamond_identity_t37():
     summed = parse_knot_expr("T(3,7) # T(3,7)")
     single = parse_knot_expr("T(3,13)")
-    seq_sum = v_sequence(summed)
-    seq_single = v_sequence(single)
-    for i in range(13):
-        assert d_positive_surgery(summed, 13, i, vseq=seq_sum) == d_positive_surgery(
-            single, 13, i, vseq=seq_single
-        )
+    with v_memo({}):
+        for i in range(13):
+            assert d_positive_surgery(summed, 13, i) == d_positive_surgery(single, 13, i)
 
 
 def test_correction_table_symmetry_and_errors():
