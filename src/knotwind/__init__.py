@@ -45,7 +45,6 @@ from .errors import (
 )
 from .knots import KnotExpression, TorusKnot, as_expression, parse_knot_expr
 from .semigroup import (
-    MultiplicitySequence,
     NumericalSemigroup,
     VSequence,
     diamond_reduce,
@@ -58,7 +57,6 @@ from .semigroup import (
 from .surgery import (
     CorrectionTable,
     SeifertPresentation,
-    SpincLabel,
     combined_invariant,
     correction_table,
     d_circle_bundle_twisted,

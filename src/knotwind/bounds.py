@@ -224,9 +224,10 @@ def reproduce_kn(n: int) -> BoundReport:
     T(2n+1,8n+5), cross-checked against the chain complex when the genus of
     J' is at most `_KN_CROSS_CHECK_GENUS` (n <= 2); the complex is built and
     searched every time, never read from the V-memo.  The chain
-    dtw(Y_0) + dtw(-Y_0) + 1 must equal 2n+2 exactly, giving the even
-    induced minimum 4n+2, sharp against the explicit sphere with 4n+2
-    intersections.
+    dtw(Y_0) + dtw(-Y_0) + 1 must equal 2n+2 exactly; half of it, n+1, is the
+    lower bound for ceil(gw/4), read at the one label t_0 without a correction
+    table.  It gives the even induced minimum 4n+2, sharp against the
+    explicit sphere with 4n+2 intersections.
     """
     exact_int(n, "family index must be a positive integer", 1)
     j_knot = TorusKnot(4 * n + 2, 4 * n + 3)
@@ -261,9 +262,7 @@ def reproduce_kn(n: int) -> BoundReport:
             f"K_{n} chain value {chain} differs from 2n+2 = {2 * n + 2}; "
             f"dtw(Y_0) = {dtw_y0}, dtw(-Y_0) = {dtw_neg_y0}"
         )
-    rhs = correction_rhs(
-        CorrectionTable(1, {0: dtw_y0}), CorrectionTable(1, {0: dtw_neg_y0})
-    )
+    rhs = chain / 2  # the A_RHS_MAX term at t_0: (dtw(Y_0) + dtw(-Y_0) + 1)/2
     ceil_bound = int(rhs)  # = n+1, integral by the chain identity
     pre, induced = _even_minimum(ceil_bound)
     upper = 4 * n + 2

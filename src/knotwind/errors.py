@@ -62,7 +62,10 @@ def exact_rational(value: object, what) -> Fraction:
     """`value` as a Fraction: a Fraction, an int (not a bool), or a string such as '-7/2' or '0.5'.
 
     Fraction() alone also reads '+7/2', '35e-1', '1_5/2' and the digits of other scripts.
+    A Fraction is immutable, so one is returned as it is.
     """
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, Fraction) or isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value)

@@ -106,27 +106,13 @@ class VSequence:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class MultiplicitySequence:
-    """Non-increasing positive integers recording successive blowup orders."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ents = tuple(exact_int(e, "multiplicities must be integers") for e in self.entries)
-        object.__setattr__(self, "entries", ents)
-        for i, e in enumerate(ents):
-            if e < 1:
-                raise ValidationError(f"multiplicity {e} at position {i} is not positive")
-            if i and ents[i - 1] < e:
-                raise ValidationError("multiplicity sequence must be non-increasing")
-
-
-def multiplicity_sequence(knot: TorusKnot) -> MultiplicitySequence:
+def multiplicity_sequence(knot: TorusKnot) -> tuple[int, ...]:
     """Multiplicity sequence of T(p,q) via the Euclidean algorithm.
 
-    Trailing 1-entries (smooth points) are dropped, so T(n, kn+1) yields
-    exactly k copies of n.
+    Each divisor b >= 2 enters as often as it divides into the previous one,
+    and each remainder is smaller than its divisor, so the entries are
+    positive and non-increasing by construction.  Trailing 1-entries (smooth
+    points) are dropped, so T(n, kn+1) yields exactly k copies of n.
     """
     a, b = knot.q, knot.p
     entries: list[int] = []
@@ -134,7 +120,7 @@ def multiplicity_sequence(knot: TorusKnot) -> MultiplicitySequence:
         cnt, r = divmod(a, b)
         entries.extend([b] * cnt)
         a, b = b, r
-    return MultiplicitySequence(tuple(entries))
+    return tuple(entries)
 
 
 def v_sequence_torus(knot: TorusKnot) -> VSequence:
@@ -180,7 +166,8 @@ def diamond_reduce(expr: KnotExpression) -> TorusKnot | None:
     every summand is positively oriented and all multiplicities agree on one
     common n.  A single positive summand reduces to itself.  Returns None
     ("no reduction") in every other case, including mirrored summands; the
-    caller may then fall back to the chain-complex route.
+    caller may then fall back to the chain-complex route.  Each summand is a
+    checked TorusKnot, so its sequence is read as Euclid returns it.
 
     The returned knot has the same V-sequence as the input; that identity is
     cross-checked against the chain-complex module in the test suite rather
@@ -196,7 +183,7 @@ def diamond_reduce(expr: KnotExpression) -> TorusKnot | None:
         return expr.summands[0][0]
     entries: list[int] = []
     for knot, _ in expr.summands:
-        entries.extend(multiplicity_sequence(knot).entries)
+        entries.extend(multiplicity_sequence(knot))
     n = entries[0]
     if any(e != n for e in entries):
         return None

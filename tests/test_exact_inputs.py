@@ -31,7 +31,6 @@ COERCED = {
     "v_invariant bool": lambda: K.v_invariant(CHAIN, True),
     "TruncatedComplex bool order": lambda: K.TruncatedComplex(CHAIN, True),
     "TruncatedComplex float floors": lambda: K.TruncatedComplex(CHAIN, 3, (0.9, 0, 0)),
-    "MultiplicitySequence float": lambda: K.MultiplicitySequence((2.7, 1)),
     "SeifertPresentation bool e0": lambda: K.SeifertPresentation(True, ()),
     "ncf_expand float": lambda: K.ncf_expand(2.5),
     "KnotExpression bool sign": lambda: K.KnotExpression(((T(2, 3), True),)),
@@ -41,7 +40,6 @@ COERCED = {
     "NumericalSemigroup.count_below bool": lambda: SEMIGROUP.count_below(False),
     "VSequence bool": lambda: K.VSequence((True, 0)),
     "VSequence.at bool": lambda: K.VSequence((1, 0)).at(False),
-    "MultiplicitySequence bool": lambda: K.MultiplicitySequence((True,)),
     "v0_closed_form bool": lambda: K.v0_closed_form("I", True),
     "v0_family_knot bool": lambda: K.v0_family_knot("II", True),
     "BifilteredComplex bool grading": lambda: K.BifilteredComplex(((True, 0),)),
@@ -49,8 +47,7 @@ COERCED = {
     "BifilteredComplex bool exponent": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): False}),
     "TruncatedComplex bool floors": lambda: K.TruncatedComplex(CHAIN, 3, (True, 0, 0)),
     "v_at bool on the homology route": lambda: K.v_at(MIXED, False),
-    "SpincLabel bool index": lambda: K.SpincLabel(3, True),
-    "SpincLabel bool coefficient": lambda: K.SpincLabel(True, 0),
+    "d_positive_surgery bool coefficient": lambda: K.d_positive_surgery(TREFOIL, True, 0),
     "d_positive_surgery bool index": lambda: K.d_positive_surgery(TREFOIL, 3, True),
     "CorrectionTable bool size": lambda: K.CorrectionTable(True, {0: 0}),
     "CorrectionTable bool value": lambda: K.CorrectionTable(1, {0: True}),
@@ -85,8 +82,8 @@ REJECTED = {
     "U-exponent on arrow 0->1 is negative": lambda: K.BifilteredComplex(((1, 1), (0, 0)), {(0, 1): -1}),
     "floors must be non-negative": lambda: K.TruncatedComplex(CHAIN, 3, (-1, 0, 0)),
     "floors must span a subcomplex: floors[l] <= floors[k] + n on each arrow": lambda: K.TruncatedComplex(CHAIN, 3, (0, 0, 2)),
-    "spin^c index must satisfy 0 <= i < n, got i=1.5, n=3": lambda: K.SpincLabel(3, 1.5),
-    "spin^c index must satisfy 0 <= i < n, got i=-1, n=3": lambda: K.SpincLabel(3, -1),
+    "spin^c index must satisfy 0 <= i < n, got i=1.5, n=3": lambda: K.d_positive_surgery(TREFOIL, 3, 1.5),
+    "spin^c index must satisfy 0 <= i < n, got i=-1, n=3": lambda: K.d_positive_surgery(TREFOIL, 3, -1),
     "coefficients must be integers >= 2, got 1": lambda: K.ncf_eval([3, 1]),
     "winding class w must be a positive even integer, got 3": lambda: K.EssentialInput(3, {}),
     "d-table key 1.5 is not an integer residue": lambda: K.EssentialInput(2, {1.5: 0}),
@@ -114,7 +111,8 @@ def test_the_two_helpers():
     assert exact_rational(" -2/6 ", "d") == Fraction(-1, 3)
     assert exact_rational("0.5", "d") == Fraction(1, 2)  # a decimal string is exact
     assert exact_rational("-5/4", "d") == Fraction(-5, 4)
-    assert exact_rational(Fraction(1, 3), "d") == Fraction(1, 3)
+    third = Fraction(1, 3)
+    assert exact_rational(third, "d") is third  # immutable, so not copied
     # Fraction() reads the second row; the ASCII rule of decimal_int refuses it.
     for bad in (True, 0.5, "1/0", "nan", "abc", None, [1], "1/-2", "1.5/2", "- 1/2",
                 "\u0663/2", "1_5/2", "+7/2", "35e-1", ".5", "5."):

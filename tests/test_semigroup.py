@@ -6,7 +6,6 @@ from math import ceil, gcd
 import pytest
 
 from knotwind import (
-    MultiplicitySequence,
     TorusKnot,
     ValidationError,
     VSequence,
@@ -165,19 +164,25 @@ def test_v0_closed_form_validation():
 
 
 def test_multiplicity_sequences():
-    assert multiplicity_sequence(TorusKnot(2, 3)).entries == (2,)
-    assert multiplicity_sequence(TorusKnot(3, 7)).entries == (3, 3)
-    assert multiplicity_sequence(TorusKnot(3, 5)).entries == (3, 2)
+    assert multiplicity_sequence(TorusKnot(2, 3)) == (2,)
+    assert multiplicity_sequence(TorusKnot(3, 7)) == (3, 3)
+    assert multiplicity_sequence(TorusKnot(3, 5)) == (3, 2)
     for n in range(2, 7):
         for k in range(1, 5):
-            assert multiplicity_sequence(TorusKnot(n, k * n + 1)).entries == (n,) * k
+            assert multiplicity_sequence(TorusKnot(n, k * n + 1)) == (n,) * k
 
 
 def test_multiplicity_sequence_validation():
-    with pytest.raises(ValidationError):
-        MultiplicitySequence((2, 3))
-    with pytest.raises(ValidationError):
-        MultiplicitySequence((0,))
+    # Euclid's quotients make every sequence positive and non-increasing; a
+    # plain tuple carries them, with nothing left to check.
+    for p in range(2, 20):
+        for q in range(p + 1, 80):
+            if gcd(p, q) == 1:
+                entries = multiplicity_sequence(TorusKnot(p, q))
+                assert type(entries) is tuple and entries[0] == p
+                assert all(e >= 1 for e in entries)
+                assert all(a >= b for a, b in zip(entries, entries[1:]))
+                assert sum(e * (e - 1) for e in entries) == (p - 1) * (q - 1)  # delta = genus
 
 
 def test_diamond_reduce_examples():

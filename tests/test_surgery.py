@@ -11,7 +11,6 @@ from knotwind import (
     CorrectionTable,
     KnotExpression,
     SeifertPresentation,
-    SpincLabel,
     ValidationError,
     combined_invariant,
     correction_table,
@@ -30,13 +29,18 @@ UNKNOT = KnotExpression.unknot()
 
 
 def test_spinc_labels():
-    label = SpincLabel(5, 1)
-    assert label.chern == 3
-    assert SpincLabel(5, 4).chern == -3
-    with pytest.raises(ValidationError):
-        SpincLabel(5, 5)
-    with pytest.raises(ValidationError):
-        SpincLabel(0, 0)
+    # Label i has chern number n - 2i: on the unknot d = (n - 2i)^2/(4n) - 1/4.
+    assert d_positive_surgery(UNKNOT, 5, 1) == Fraction(3**2, 20) - Fraction(1, 4)
+    assert d_positive_surgery(UNKNOT, 5, 4) == Fraction((-3) ** 2, 20) - Fraction(1, 4)
+    with pytest.raises(ValidationError, match=r"^spin\^c index must satisfy 0 <= i < n, got i=5, n=5$"):
+        d_positive_surgery(UNKNOT, 5, 5)
+    with pytest.raises(ValidationError, match="^surgery coefficient must be a positive integer, got 0$"):
+        d_positive_surgery(UNKNOT, 0, 0)
+    # The coefficient is checked first, and both before the knot is read.
+    with pytest.raises(ValidationError, match="^surgery coefficient"):
+        d_positive_surgery("not a knot", 0, 7)
+    with pytest.raises(ValidationError, match=r"^spin\^c index"):
+        d_positive_surgery("not a knot", 3, 7)
 
 
 def test_d_positive_surgery_examples():
