@@ -49,6 +49,8 @@ COERCED = {
     "v_at bool on the homology route": lambda: K.v_at(MIXED, False),
     "d_positive_surgery bool coefficient": lambda: K.d_positive_surgery(TREFOIL, True, 0),
     "d_positive_surgery bool index": lambda: K.d_positive_surgery(TREFOIL, 3, True),
+    # the spin^c label (n, i) = (3, True), checked before the knot is read, here a mixed sum
+    "SpincLabel bool index": lambda: K.d_positive_surgery(MIXED, 3, True),
     "CorrectionTable bool size": lambda: K.CorrectionTable(True, {0: 0}),
     "CorrectionTable bool value": lambda: K.CorrectionTable(1, {0: True}),
     "CorrectionTable float key": lambda: K.CorrectionTable(1, {0.0: 0}),
