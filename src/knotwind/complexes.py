@@ -638,6 +638,38 @@ def _tensor_part(left: _Part, right: _Part) -> _Part:
     return gens, diff
 
 
+# A tensor product has the product of its staircases' sizes as generators.  Its cost grows
+# with that product and faster with the summand count (2-vCPU VM): near the limit a sum
+# of two to four summands builds in 0.1 s, and `v_sequence` takes 0.3-0.6 s and 50 MB;
+# nine trefoils (19,683 generators) build in 0.4 s and take 9 s and 310 MB.  Nine
+# summands of 32,805 generators took 28 s and 1.1 GB.
+_GENERATOR_LIMIT = 20_000
+
+
+def _generator_count(expr: KnotExpression) -> int:
+    """Generators of the complex of `expr`, read off its cached semigroup tables, no part built.
+
+    Each staircase has one generator per switch of its membership table,
+    counting the switch on at 0 and the one into the conductor; the complex has
+    their product.  Once the product passes `_GENERATOR_LIMIT` the count stops,
+    so a later summand's table is not built, and what it returns is still above
+    the limit.  A semigroup conductor above its own limit raises `ValidationError`.
+    """
+    size = 1
+    for knot, _ in expr.summands:
+        member = semigroup_from_pair(knot.p, knot.q).membership
+        size *= member.count(b"\x00\x01") + member.count(b"\x01\x00") + 2
+        if size > _GENERATOR_LIMIT:
+            break
+    return size
+
+
+def _check_size(count: int) -> None:
+    """Refuse a complex of `count` generators if that is above `_GENERATOR_LIMIT`."""
+    if count > _GENERATOR_LIMIT:
+        raise ValidationError(f"the chain complex has more than {_GENERATOR_LIMIT} generators")
+
+
 def staircase(knot: TorusKnot) -> BifilteredComplex:
     """Staircase complex of a positive torus knot.
 
@@ -646,9 +678,12 @@ def staircase(knot: TorusKnot) -> BifilteredComplex:
     genus.  Generators sit at those Alexander gradings in descending order;
     every odd-indexed generator maps onto its two neighbours, the higher one
     with the U-exponent that preserves the Alexander filtration sharply.
+    A staircase of more than `_GENERATOR_LIMIT` generators is refused before
+    it is built, as `complex_of` refuses it.
     """
     if not isinstance(knot, TorusKnot):
         raise ValidationError(f"staircase expects a TorusKnot, got {knot!r}")
+    _check_size(_generator_count(as_expression(knot)))
     return BifilteredComplex(*_staircase_part(knot))
 
 
@@ -662,18 +697,16 @@ def dualize(complex_: BifilteredComplex) -> BifilteredComplex:
 
 
 def tensor(left: BifilteredComplex, right: BifilteredComplex) -> BifilteredComplex:
-    """Tensor product over F_2[U]: gradings add, differential by the Leibniz rule."""
+    """Tensor product over F_2[U]: gradings add, differential by the Leibniz rule.
+
+    It has the product of the factors' generator counts as generators; above
+    `_GENERATOR_LIMIT` it is refused before anything is built, as `complex_of`
+    refuses it.
+    """
+    _check_size(left.n_generators * right.n_generators)
     return BifilteredComplex(
         *_tensor_part((left.generators, left.differential), (right.generators, right.differential))
     )
-
-
-# A tensor product has the product of its staircases' sizes as generators.  Its cost grows
-# with that product and faster with the summand count (2-vCPU VM): near the limit a sum
-# of two to four summands builds in 0.1 s, and `v_sequence` takes 0.3-0.6 s and 50 MB;
-# nine trefoils (19,683 generators) build in 0.4 s and take 9 s and 310 MB.  Nine
-# summands of 32,805 generators took 28 s and 1.1 GB.
-_GENERATOR_LIMIT = 20_000
 
 
 def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
@@ -681,17 +714,11 @@ def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
 
     The parts are folded raw, and only the result is constructed, so every law
     is checked once, on the complex the engine uses.  A complex of more than
-    `_GENERATOR_LIMIT` generators is rejected before any part is built: each
-    staircase has one generator per switch of its cached membership table,
-    counting the switch on at 0 and the one into the conductor.
+    `_GENERATOR_LIMIT` generators, by `_generator_count`, is rejected before any
+    part is built; the cache applies the same count to the entries it loads.
     """
     expr = as_expression(expr)
-    size = 1
-    for knot, _ in expr.summands:
-        member = semigroup_from_pair(knot.p, knot.q).membership
-        size *= member.count(b"\x00\x01") + member.count(b"\x01\x00") + 2
-        if size > _GENERATOR_LIMIT:
-            raise ValidationError(f"the chain complex has more than {_GENERATOR_LIMIT} generators")
+    _check_size(_generator_count(expr))
     if not expr.summands:
         return BifilteredComplex(((0, 0),), {})
     parts = [

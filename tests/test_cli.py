@@ -18,7 +18,9 @@ from knotwind import (
     ValidationError,
     cache_load,
     cache_store,
+    ncf_eval,
     parse_knot_expr,
+    v_memo,
     v_sequence,
 )
 from knotwind import __version__
@@ -264,6 +266,15 @@ def test_cli_ncf_commands():
     assert doc["value"] == "7/2"
     doc = json.loads(run_ok(["ncf", "expand", "7/2", "--format", "json"]))
     assert doc["value"] == [4, 2]
+    # 10,000 threes evaluate and render; one more coefficient exits 2 before any arithmetic.
+    threes = ",".join(["3"] * 10_000)
+    out = run_ok(["ncf", "eval", threes, "--format", "json"])
+    assert json.loads(out)["value"] == fraction_str(ncf_eval([3] * 10_000))
+    status, out, err = run(["ncf", "eval", threes + ",3", "--format", "json"])
+    assert (status, err) == (2, "")
+    assert json.loads(out)["error"] == {
+        "kind": "validation", "message": "a negative continued fraction takes at most 10000 coefficients",
+    }
 
 
 def test_cli_examples_kn_trail():
@@ -317,6 +328,93 @@ def test_cli_csv_has_fixed_header():
     assert any(line.startswith("result,value,1") for line in lines)
     out = run_ok(["vseq", "T(2,3)", "--format", "csv"])
     assert out.splitlines()[0] == "section,name,value,anchor"
+
+
+NIWU = "d(S^3_n(K),t_i) = -2 max{V_i, V_{n-i}} + (n-2i)^2/(4n) - 1/4"
+SPINC = "spin^c label i has chern number n - 2i"
+
+
+def test_cli_renders_a_correction_table_in_csv_and_table():
+    argv = ["dinv", "T(2,3)", "--n", "3", "--all", "--no-cache", "--format"]
+    assert run_ok(argv + ["csv"]) == (
+        "section,name,value,anchor\n"
+        'input,expr,"T(2,3)",\n'
+        "input,n,3,\n"
+        "result,d_0,-3/2,\n"
+        "result,d_1,-1/6,\n"
+        "result,d_2,-1/6,\n"
+        f'trail,formula,n = 3,"{NIWU}"\n'
+        f"trail,labels,i = 0..n-1,{SPINC}\n"
+    )
+    assert run_ok(argv + ["table"]) == (
+        "command: dinv\n"
+        "expr: T(2,3)\n"
+        "n: 3\n"
+        "value:\n"
+        "  d_0 = -3/2\n"
+        "  d_1 = -1/6\n"
+        "  d_2 = -1/6\n"
+        "trail:\n"
+        f"  formula = n = 3   [{NIWU}]\n"
+        f"  labels = i = 0..n-1   [{SPINC}]\n"
+    )
+
+
+def test_cli_renders_the_sharp_line_of_a_table():
+    kn = "J = T(4n+2,4n+3), J' = T(2n+1,4n+3) # T(2n+1,4n+3), m = (4n+2)(4n+3)"
+    semigroup = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
+    sphere = "an explicit 2-sphere meets K_n in 4n+2 points"
+    assert run_ok(["examples", "kn", "--n", "1", "--no-cache"]) == (
+        "command: examples kn\n"
+        "n: 1\n"
+        "value: 4\n"
+        "induced minimum: 6\n"
+        "sharp: true\n"
+        "trail:\n"
+        f"  J = T(6,7)   [{kn}]\n"
+        f"  J' = T(3,7) # T(3,7)   [{kn}]\n"
+        f"  m = 42   [{kn}]\n"
+        f"  V_0(J) = 6   [{semigroup}]\n"
+        "  reduction of J' = T(3,13)   [ms(T(n,a*n+1)) ++ ms(T(n,b*n+1)) = ms(T(n,(a+b)*n+1))]\n"
+        f"  V_0(J') = 4   [{semigroup}]\n"
+        "  V_0(J') homology cross-check = 4   [V_s = -(top grading of the U-tower of A_s^-)/2]\n"
+        "  dtw(Y_0,t_0) = 7/4   [dtw(Y_0,t_0) = -2 V_0(J') + (m-3)/4]\n"
+        "  dtw(-Y_0,t_0) = 5/4   [dtw(-Y_0,t_0) = 2 V_0(J) - (m+1)/4]\n"
+        "  2n+2 = 4   [2 V_0(J) - 2 V_0(J') = 2n+2]\n"
+        "  lower bound for ceil(gw/4) = 2   [(1/2) max_t { dtw(Y,t) + dtw(-Y,t) + 1 }]\n"
+        "  gw >= (any parity) = 5   [ceil(gw/4) >= b forces gw >= 4b - 3]\n"
+        "  gw >= (even) = 6   [a null-homologous knot meets a generating 2-sphere an even number of times]\n"
+        f"  upper bound = 6   [{sphere}]\n"
+        f"  sharp = true   [{sphere}]\n"
+    )
+
+
+def test_cli_parse_error_honours_the_equals_form_of_format():
+    # argparse refuses --n before the format is parsed, so the format is read off argv.
+    status, out, err = run(["dinv", "T(2,3)", "--n", "three", "--format=json", "--no-cache"])
+    assert (status, err) == (2, "")
+    assert out == (
+        "{\n"
+        '  "error": {\n'
+        '    "kind": "validation",\n'
+        '    "message": "argument --n: invalid int value: \'three\'"\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_main_writes_both_streams_and_returns_the_status(capsys):
+    assert cli.main(["ncf", "eval", "4,2", "--no-cache"]) == 0
+    assert capsys.readouterr() == (
+        "command: ncf eval\n"
+        "coeffs: [4, 2]\n"
+        "value: 7/2\n"
+        "trail:\n"
+        "  definition = 7/2   [[a_1,...,a_k]^- = a_1 - 1/(a_2 - 1/(...))]\n",
+        "",
+    )
+    assert cli.main(["vseq", "T(2,4)", "--no-cache"]) == 2
+    assert capsys.readouterr() == ("", "error (validation): torus knot parameters (2,4) are not coprime\n")
 
 
 def test_cli_validation_errors_and_exit_codes():
@@ -456,15 +554,65 @@ def test_cache_spot_check_recomputes_an_entry_off_the_semigroup_route(tmp_path):
     assert json.loads(path.read_text())["entries"] == {"T(2,3) # T(2,3)": [1, 1, 0]}
 
 
-def test_cache_spot_check_passes_over_entries_above_the_genus_limit(tmp_path):
-    # Of genus 45, the lone mirror is not recomputed, and it does not hide the
-    # cheapest sum that is: with no limit applied first, the stale sum was served.
+@pytest.mark.parametrize(
+    "entries, value",
+    [
+        ({"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}, "0 0 0 0"),
+        ({"-T(2,25)": [0] * 13, "T(2,3) # -T(2,3)": [1, 1, 0]}, "0 0 0"),
+    ],
+    ids=["genus-45-mirror", "one-summand-mirror"],
+)
+def test_cache_spot_check_recomputes_the_entry_of_fewest_generators(tmp_path, entries, value):
+    # The correct mirror has more generators, 91 or 25 against 15 or 9, so the stale sum
+    # is the one recomputed, though it has more summands than the mirror.
     path = tmp_path / "cache.json"
-    stale = {"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    expr = list(entries)[1]
     with pytest.warns(RuntimeWarning, match="stale"):
-        out = run_ok(["vseq", "T(2,3) # -T(2,5)", "--cache", str(path)])
-    assert "value: 0 0 0 0" in out.splitlines()
+        out = run_ok(["vseq", expr, "--cache", str(path)])
+    assert f"value: {value}" in out.splitlines()
+
+
+def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
+    stale = {"T(2,3) # -T(2,5)": [2, 1, 1, 0]}
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
+    with v_memo(stale) as memo:
+        with pytest.warns(RuntimeWarning, match="stale"):
+            assert cache_load(path) == {}
+    assert memo == stale  # the recompute filled a memo of its own
+
+
+def test_cache_spot_check_recomputes_nothing_above_its_generator_limit(tmp_path, monkeypatch):
+    from knotwind import cache
+
+    seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
+    entries = {"T(2,3)": [1, 0], seven: list(v_sequence(parse_knot_expr(seven)).values)}
+    assert parse_knot_expr(seven).single_positive_torus_knot() is None
+
+    def recompute(expr):
+        raise AssertionError(f"{expr} was recomputed")
+
+    monkeypatch.setattr(cache, "v_sequence", recompute)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    assert cache_load(path) == entries
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"T(30001,30002)": [0]}, {"T(2,3001) # -T(2,3001)": [0] * 3001}],
+    ids=["conductor-above-10^6", "9006001-generators"],
+)
+def test_cache_entries_the_engine_refuses_are_malformed(tmp_path, entries):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    key = re.escape(repr(list(entries)[0]))
+    with pytest.warns(RuntimeWarning, match=f"malformed entry {key}"):
+        assert cache_load(path) == {}
+    with pytest.warns(RuntimeWarning, match=f"malformed entry {key}"):
+        status, out, err = run(["ncf", "eval", "4,2", "--cache", str(path), "--format", "json"])
+    assert (status, json.loads(out)["value"], err) == (0, "7/2", "")
 
 
 def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):

@@ -1,14 +1,17 @@
-"""Inputs rejected where they enter, the internal guards of the K_n chain, and the generator budget."""
+"""Inputs rejected where they enter, the internal guards of the K_n chain and the homology route,
+and the generator budget."""
 
 import json
 import re
 import tempfile
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import knotwind.bounds as bounds
 import knotwind.complexes as complexes
+import knotwind.surgery as surgery
 from knotwind import (
     BifilteredComplex,
     InternalCheckError,
@@ -18,10 +21,13 @@ from knotwind import (
     __version__,
     as_expression,
     cache_load,
+    combined_invariant,
     complex_of,
+    dualize,
     parse_knot_expr,
     reproduce_kn,
     staircase,
+    tensor,
     v_sequence,
 )
 from knotwind.cli import run
@@ -153,13 +159,78 @@ def test_a_complex_beyond_the_budget_is_refused_before_any_part_is_built(monkeyp
 
 
 def test_the_budget_counts_the_generators_of_each_staircase(monkeypatch):
-    for p in range(2, 9):
-        for q in range(p + 1, 40):
-            if gcd(p, q) == 1:
-                knot = TorusKnot(p, q)
-                size = staircase(knot).n_generators
-                monkeypatch.setattr(complexes, "_GENERATOR_LIMIT", size)
-                assert complex_of(-KnotExpression.torus(p, q)).n_generators == size
-                monkeypatch.setattr(complexes, "_GENERATOR_LIMIT", size - 1)
-                with pytest.raises(ValidationError):
-                    complex_of(knot)
+    # Sized before the limit is lowered: `staircase` obeys the budget too.
+    sizes = {
+        TorusKnot(p, q): staircase(TorusKnot(p, q)).n_generators
+        for p in range(2, 9) for q in range(p + 1, 40) if gcd(p, q) == 1
+    }
+    for knot, size in sizes.items():
+        monkeypatch.setattr(complexes, "_GENERATOR_LIMIT", size)
+        assert complex_of(-KnotExpression.torus(knot.p, knot.q)).n_generators == size
+        monkeypatch.setattr(complexes, "_GENERATOR_LIMIT", size - 1)
+        with pytest.raises(ValidationError):
+            complex_of(knot)
+
+
+def test_the_public_builders_obey_the_budget(monkeypatch):
+    with pytest.raises(ValidationError, match=f"^{BUDGET_MESSAGE}$"):
+        staircase(TorusKnot(2, 20003))  # 20,003 generators
+    chain = staircase(TorusKnot(2, 151))  # 151^2 = 22,801 generators in the tensor product
+
+    def never(left, right):
+        raise AssertionError("built the tensor product")
+
+    monkeypatch.setattr(complexes, "_tensor_part", never)
+    with pytest.raises(ValidationError, match=f"^{BUDGET_MESSAGE}$"):
+        tensor(chain, dualize(chain))
+
+
+class _Membership:  # a semigroup table whose Alexander exponents are not symmetric
+    membership = b"\x01\x01"
+
+
+SUM = "T(2,3) # -T(2,3)"  # 9 generators: the unreduced walk checks every level
+# Each guard of the homology route, forced by one replacement, raises its own message.
+HOMOLOGY_GUARDS = {
+    "reduced and unreduced tops disagree": (
+        complexes, "_stable_top", lambda first, second, order: 1,
+        lambda: v_sequence(parse_knot_expr(SUM)),
+        r"^reduced and unreduced tower tops disagree at level 0: 0 vs 1$"),
+    "staircase exponents asymmetric": (
+        complexes, "semigroup_from_pair", lambda p, q: _Membership(),
+        lambda: staircase(TREFOIL),
+        r"^Alexander exponent set of T\(2,3\) is not symmetric$"),
+    "tower top odd": (
+        complexes, "_tower_tops", lambda complex_, first, last: [-1] * (last - first + 1),
+        lambda: v_sequence(parse_knot_expr(SUM)),
+        r"^sublevel tower top -1 at level 0 is not an even non-positive grading$"),
+    "tower top positive": (
+        complexes, "_tower_tops", lambda complex_, first, last: [2] * (last - first + 1),
+        lambda: v_sequence(parse_knot_expr(SUM)),
+        r"^sublevel tower top 2 at level 0 is not an even non-positive grading$"),
+    "homology sequence not monotone": (
+        complexes, "_v_values", lambda complex_, first, last: [0, 2, 0],
+        lambda: v_sequence(parse_knot_expr(SUM)),
+        r"^computed V-values violate monotonicity: V_0 = 0, V_1 = 2: step outside \{0,1\}$"),
+    "ceiling identity": (
+        surgery, "d_circle_bundle_twisted", lambda g: Fraction(0),
+        lambda: combined_invariant(1),
+        r"^ceiling identity failed at g=1: 6 != 8$"),
+}
+
+
+@pytest.mark.parametrize("module, name, replacement, call, pattern", HOMOLOGY_GUARDS.values(),
+                         ids=HOMOLOGY_GUARDS.keys())
+def test_homology_route_guards(monkeypatch, module, name, replacement, call, pattern):
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(InternalCheckError, match=pattern):
+        call()
+
+
+def test_a_homology_guard_gives_an_internal_error_document(monkeypatch):
+    monkeypatch.setattr(complexes, "_stable_top", lambda first, second, order: 1)
+    status, out, err = run(["vseq", SUM, "--no-cache", "--format", "json"])
+    assert (status, err) == (1, "")
+    assert json.loads(out) == {"error": {
+        "kind": "internal", "message": "reduced and unreduced tower tops disagree at level 0: 0 vs 1",
+    }}

@@ -163,6 +163,11 @@ def test_ncf_eval_examples():
         ncf_eval([2, 1])
     with pytest.raises(ValidationError):
         ncf_eval([])
+    # At most the 10,000 coefficients `ncf_expand` returns, counted before anything is
+    # read: the coefficient 1 at the end would be refused on its own.
+    assert ncf_expand(ncf_eval([2] * 10_000)) == [2] * 10_000
+    with pytest.raises(ValidationError, match="^a negative continued fraction takes at most 10000 coefficients$"):
+        ncf_eval([3] * 10_000 + [1])
 
 
 def test_ncf_expand_examples_and_validation():
