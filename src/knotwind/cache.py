@@ -3,11 +3,13 @@
 The file holds {"tool_version": ..., "entries": {expr: [V_0, V_1, ...]}}.
 Corrupt files, and files with an entry the engine would refuse to compute,
 are ignored with a warning and files from another tool version silently
-(the next store rewrites them), never fatally.  On load every entry is
-sized by the generator count `complex_of` budgets, and the spot check
-recomputes at most one entry, the smallest, outside any memo of the
-caller.  Writes go through a temporary file and an atomic rename, so
-concurrent writers cannot corrupt the file (last writer wins).
+(the next store rewrites them), never fatally.  On load every single
+positive torus knot entry is compared with its semigroup count, and a
+mismatch discards the file; no other entry is checked, so a command is
+served only those (`verified_entries`) and computes every other V-sequence
+afresh.  Loading builds no complex.  Writes go through a temporary file and
+an atomic rename, so concurrent writers cannot corrupt the file (last
+writer wins).
 """
 
 from __future__ import annotations
@@ -17,60 +19,49 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
-from .complexes import _check_size, _generator_count, _servable, v_memo, v_sequence
+from .complexes import _check_size, _generator_count
 from .errors import ValidationError
-from .knots import KnotExpression, parse_knot_expr
+from .knots import TorusKnot, parse_knot_expr
 from .semigroup import v_sequence_torus
 
 CACHE_ENV = "KNOTWIND_CACHE"
-
-# The spot check recomputes no entry of more generators: at most 300 took 2-10 ms on
-# every shape tried, 729 (six trefoils) 19-25 ms and 2,187 (seven) 80-130 ms (2-vCPU VM).
-_SPOT_CHECK_GENERATOR_LIMIT = 500
 
 
 def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _spot_check(entries: dict[str, list[int]], sized: dict[str, tuple[KnotExpression, int]]) -> bool:
-    """Compare the entries with what they claim, given each key's expression and generator
-    count; False means the cache cannot be trusted.
+def _spot_check(entries: dict[str, list[int]], knots: dict[str, TorusKnot]) -> bool:
+    """Compare each entry of a single positive torus knot, keyed as in `knots`, with its
+    semigroup count, which needs no complex; False means the cache cannot be trusted."""
+    return all(list(v_sequence_torus(knot).values) == entries[key] for key, knot in knots.items())
 
-    Every positive torus knot entry is compared with its semigroup count,
-    which needs no complex.  Of the other entries that `v_sequence` would serve
-    (those with its shape; the rest are recomputed anyway), the unknot aside,
-    the one of fewest generators is recomputed if it has at most
-    `_SPOT_CHECK_GENERATOR_LIMIT`, inside a fresh `v_memo`, so that no memo of the
-    caller answers for it.  With none, nothing is recomputed.
+
+def verified_entries(entries: Mapping[str, list[int]]) -> dict[str, list[int]]:
+    """The entries `cache_load` verifies, those of single positive torus knots: the only
+    ones a command is served, and the only ones it writes back.
+
+    The keys must parse, as those of `cache_load` and of a `v_memo` do.
     """
-    others = {}
-    for key, (expr, size) in sized.items():
-        knot = expr.single_positive_torus_knot()
-        if knot is not None:
-            if list(v_sequence_torus(knot).values) != entries[key]:
-                return False
-        elif expr.summands and size <= _SPOT_CHECK_GENERATOR_LIMIT and (
-            _servable(expr, entries[key]) is not None
-        ):
-            others[key] = size
-    if not others:
-        return True
-    key = min(others, key=others.__getitem__)
-    with v_memo({}):
-        return list(v_sequence(sized[key][0]).values) == entries[key]
+    return {
+        key: values for key, values in entries.items()
+        if parse_knot_expr(key).single_positive_torus_knot() is not None
+    }
 
 
 def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
-    """Load cache entries; anything suspicious yields an empty dict.
+    """Load every well-formed cache entry; anything suspicious yields an empty dict.
 
     A key is malformed, like values that are not non-negative integers, when
     it does not parse or names a V-sequence the engine refuses to compute: a
     semigroup conductor above its limit, or, for anything but a single
-    positive torus knot, a complex above `_GENERATOR_LIMIT` generators.  Each
-    key is sized once, here, by the count `complex_of` applies.
+    positive torus knot, a complex above `_GENERATOR_LIMIT` generators, by the
+    count `complex_of` applies.  A single positive torus knot entry that
+    differs from its semigroup count is stale.  No other entry is checked:
+    the caller serves only `verified_entries` of the result.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -89,24 +80,25 @@ def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
         _warn(f"ignoring cache file {path}: missing entries object")
         return {}
     out: dict[str, list[int]] = {}
-    sized: dict[str, tuple[KnotExpression, int]] = {}
+    knots: dict[str, TorusKnot] = {}
     for key, values in entries.items():
         try:
             expr = parse_knot_expr(key)
             size = _generator_count(expr)
-            if expr.single_positive_torus_knot() is None:  # else its V is a semigroup count, no complex
+            knot = expr.single_positive_torus_knot()
+            if knot is None:
                 _check_size(size)
+            else:  # its V is a semigroup count, no complex
+                knots[key] = knot
         except ValidationError:
             values = None  # a key the engine refuses is malformed like bad values
-        else:
-            sized[key] = (expr, size)
         if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values
         ):
             _warn(f"ignoring cache file {path}: malformed entry {key!r}")
             return {}
         out[key] = list(values)
-    if out and not _spot_check(out, sized):
+    if not _spot_check(out, knots):
         _warn(f"ignoring cache file {path}: spot check found a stale V-sequence")
         return {}
     return out

@@ -36,11 +36,11 @@ from .bounds import (
     shake_bound,
     winding_bound_via_zero_surgery,
 )
-from .cache import CACHE_ENV, cache_load, cache_store
+from .cache import CACHE_ENV, cache_load, cache_store, verified_entries
 from .complexes import v_memo, v_route, v_sequence
 from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import parse_knot_expr
-from .surgery import correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
+from .surgery import _check_term_count, correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
 
 A_NIWU = "d(S^3_n(K),t_i) = -2 max{V_i, V_{n-i}} + (n-2i)^2/(4n) - 1/4"
 A_SPINC = "spin^c label i has chern number n - 2i"
@@ -119,7 +119,7 @@ def _add_leaf(parser: argparse.ArgumentParser, handler, title: str) -> None:
         "--cache",
         metavar="PATH",
         default=argparse.SUPPRESS,
-        help=f"V-sequence cache file (default: ${CACHE_ENV} if set)",
+        help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
     )
     parser.add_argument(
         "--no-cache",
@@ -244,9 +244,11 @@ def _cmd_seifert_kn(args) -> BoundReport:
 
 
 def _cmd_ncf_eval(args) -> BoundReport:
+    parts = args.coeffs.split(",")
+    _check_term_count(len(parts))  # before any conversion
     coeffs = [
         decimal_int(part, lambda: f"coefficient list must be comma-separated integers, got {args.coeffs!r}")
-        for part in args.coeffs.split(",")
+        for part in parts
     ]
     value = ncf_eval(coeffs)
     trail = (TrailEntry("definition", value, A_NCF),)
@@ -342,12 +344,14 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     cache_path = None
     if not args.no_cache:
         cache_path = args.cache or os.environ.get(CACHE_ENV) or None
-    try:  # the cache spot check computes V-sequences too
-        loaded = cache_load(cache_path) if cache_path else {}
-        with v_memo(loaded) as memo:
+    try:  # loading the cache can exhaust memory too
+        served = verified_entries(cache_load(cache_path)) if cache_path else {}
+        with v_memo(served) as memo:
             output = render_document(_report_doc(args.title, args.handler(args)), fmt)
-            if cache_path and memo != loaded:
-                cache_store(cache_path, memo)
+            if cache_path:
+                stored = verified_entries(memo)
+                if stored != served:
+                    cache_store(cache_path, stored)
             return 0, output, ""
     except (ValidationError, InternalCheckError, MemoryError, RecursionError, OverflowError) as exc:
         return _error_output(exc, fmt)

@@ -118,6 +118,12 @@ def combined_invariant(g: int) -> int:
     return int(value)
 
 
+def _check_term_count(count: int) -> None:
+    """Refuse a negative continued fraction of more than `_NCF_TERM_LIMIT` coefficients."""
+    if count > _NCF_TERM_LIMIT:
+        raise ValidationError(f"a negative continued fraction takes at most {_NCF_TERM_LIMIT} coefficients")
+
+
 def ncf_eval(coeffs: list[int]) -> Fraction:
     """Negative continued fraction [a_1,...,a_k]^- = a_1 - 1/(a_2 - 1/(...)).
 
@@ -128,8 +134,7 @@ def ncf_eval(coeffs: list[int]) -> Fraction:
     """
     if not coeffs:
         raise ValidationError("negative continued fraction needs at least one coefficient")
-    if len(coeffs) > _NCF_TERM_LIMIT:
-        raise ValidationError(f"a negative continued fraction takes at most {_NCF_TERM_LIMIT} coefficients")
+    _check_term_count(len(coeffs))
     for a in coeffs:
         exact_int(a, "coefficients must be integers >= 2", 2)
     value = Fraction(coeffs[-1])

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from knotwind import __version__
 from knotwind import cli
 from knotwind.cli import fraction_str, run
 from knotwind.errors import decimal_int
+from test_complexes import small_sums
 
 # The most digits int() converts from text, or 0 where the interpreter has no limit.
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -271,6 +273,18 @@ def test_cli_ncf_commands():
     out = run_ok(["ncf", "eval", threes, "--format", "json"])
     assert json.loads(out)["value"] == fraction_str(ncf_eval([3] * 10_000))
     status, out, err = run(["ncf", "eval", threes + ",3", "--format", "json"])
+    assert (status, err) == (2, "")
+    assert json.loads(out)["error"] == {
+        "kind": "validation", "message": "a negative continued fraction takes at most 10000 coefficients",
+    }
+
+
+def test_cli_ncf_eval_counts_before_it_converts(monkeypatch):
+    def convert(*args):
+        raise AssertionError("a coefficient was converted")
+
+    monkeypatch.setattr(cli, "decimal_int", convert)
+    status, out, err = run(["ncf", "eval", ",".join(["3"] * 10_001), "--format", "json"])
     assert (status, err) == (2, "")
     assert json.loads(out)["error"] == {
         "kind": "validation", "message": "a negative continued fraction takes at most 10000 coefficients",
@@ -544,56 +558,52 @@ def test_cache_spot_check_compares_every_torus_knot(tmp_path):
     assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
 
 
-def test_cache_spot_check_recomputes_an_entry_off_the_semigroup_route(tmp_path):
-    path = tmp_path / "cache.json"
-    stale = {"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [2, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
-    with pytest.warns(RuntimeWarning, match="stale"):
-        out = run_ok(["vseq", "T(2,3) # T(2,3)", "--cache", str(path)])
-    assert "value: 1 1 0" in out.splitlines()
-    assert json.loads(path.read_text())["entries"] == {"T(2,3) # T(2,3)": [1, 1, 0]}
-
-
 @pytest.mark.parametrize(
     "entries, value",
     [
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [2, 1, 0]}, "1 1 0"),
         ({"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}, "0 0 0 0"),
         ({"-T(2,25)": [0] * 13, "T(2,3) # -T(2,3)": [1, 1, 0]}, "0 0 0"),
     ],
-    ids=["genus-45-mirror", "one-summand-mirror"],
+    ids=["positive-sum", "genus-45-mirror", "one-summand-mirror"],
 )
-def test_cache_spot_check_recomputes_the_entry_of_fewest_generators(tmp_path, entries, value):
-    # The correct mirror has more generators, 91 or 25 against 15 or 9, so the stale sum
-    # is the one recomputed, though it has more summands than the mirror.
+def test_cache_serves_no_entry_off_the_semigroup_route(tmp_path, entries, value):
+    # Load checks only positive torus knots, so a stale sum or mirror loads without a
+    # warning, is computed afresh and is not written back: the file stays as it was.
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
     expr = list(entries)[1]
-    with pytest.warns(RuntimeWarning, match="stale"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         out = run_ok(["vseq", expr, "--cache", str(path)])
+    assert caught == []
     assert f"value: {value}" in out.splitlines()
+    assert cache_load(path) == entries
 
 
 def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
-    stale = {"T(2,3) # -T(2,5)": [2, 1, 1, 0]}
+    stale = {"T(2,5)": [2, 1, 0]}
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
     with v_memo(stale) as memo:
         with pytest.warns(RuntimeWarning, match="stale"):
             assert cache_load(path) == {}
-    assert memo == stale  # the recompute filled a memo of its own
+    assert memo == stale  # the semigroup count reads no memo
 
 
-def test_cache_spot_check_recomputes_nothing_above_its_generator_limit(tmp_path, monkeypatch):
-    from knotwind import cache
+def test_cache_load_builds_no_complex(tmp_path, monkeypatch):
+    from knotwind import complexes
 
     seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
-    entries = {"T(2,3)": [1, 0], seven: list(v_sequence(parse_knot_expr(seven)).values)}
-    assert parse_knot_expr(seven).single_positive_torus_knot() is None
+    entries = {
+        "T(2,3)": [1, 0], "T(2,5)": [1, 1, 0], "U": [], "-T(2,3)": [0, 0],
+        "T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0], seven: [0],
+    }
 
-    def recompute(expr):
-        raise AssertionError(f"{expr} was recomputed")
+    def build(expr):
+        raise AssertionError(f"the complex of {expr} was built")
 
-    monkeypatch.setattr(cache, "v_sequence", recompute)
+    monkeypatch.setattr(complexes, "complex_of", build)
     path = tmp_path / "cache.json"
     path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
     assert cache_load(path) == entries
@@ -615,19 +625,6 @@ def test_cache_entries_the_engine_refuses_are_malformed(tmp_path, entries):
     assert (status, json.loads(out)["value"], err) == (0, "7/2", "")
 
 
-def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):
-    from knotwind import cache
-
-    def recompute(expr):
-        raise AssertionError(f"{expr} was recomputed")
-
-    monkeypatch.setattr(cache, "v_sequence", recompute)
-    path = tmp_path / "cache.json"
-    entries = {"T(2,3)": [1, 0], "T(2,5)": [1, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    assert cache_load(path) == entries
-
-
 def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     path = tmp_path / "cache.json"
     plain = run_ok(["vseq", "T(3,4)", "--format", "json", "--no-cache"])
@@ -640,10 +637,55 @@ def test_cli_cached_and_uncached_outputs_identical(tmp_path):
     assert plain == first == second
 
 
+def _cached_and_uncached(path, entries, words, expr):
+    """(status, stdout, stderr) of a json command on `expr` with a cache file holding `entries`,
+    and with --no-cache."""
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a stale torus knot discards the file
+        cached = run([*words, "--format", "json", "--cache", str(path), "--", expr])
+    return cached, run([*words, "--format", "json", "--no-cache", "--", expr])
+
+
+@given(small_sums, st.data())
+def test_cached_and_uncached_outputs_agree_on_any_cache_file(tmp_path_factory, expr, data):
+    # Well-formed V-lists for the expression and its mirror: the true ones, others of the
+    # shape `v_sequence` returns (steps of 0 or 1 down to V_g = 0), and any at all.
+    def v_list(key):
+        steps = st.lists(st.integers(0, 1), min_size=key.genus, max_size=key.genus)
+        return data.draw(st.one_of(
+            st.just(list(v_sequence(key).values)),
+            steps.map(lambda s: [sum(s[i:]) for i in range(len(s) + 1)]),
+            st.lists(st.integers(0, 9), max_size=key.genus + 2),
+        ))
+
+    entries = {str(expr): v_list(expr), str(-expr): v_list(-expr)}
+    n = data.draw(st.integers(1, 2 * expr.genus + 3))
+    path = tmp_path_factory.mktemp("cache") / "cache.json"
+    for words in (["vseq"], ["bound", "winding"], ["dinv", "--n", str(n), "--all"]):
+        cached, plain = _cached_and_uncached(path, entries, words, str(expr))
+        assert cached == plain, words
+
+
+def test_cli_bound_winding_serves_no_stale_mixed_sum(tmp_path):
+    # A stale mixed sum beside a correct positive sum: the winding bound B = V_0(J) + V_0(-J).
+    entries = {"T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0]}
+    path = tmp_path / "cache.json"
+    cached, plain = _cached_and_uncached(path, entries, ["bound", "winding"], "T(2,3) # -T(2,5)")
+    assert cached == plain
+    doc = json.loads(cached[1])
+    assert (doc["value"], doc["induced_minimum"]) == (1, 2)
+
+
 def test_cli_bound_winding_caches_the_torus_knot(tmp_path):
+    # Only single positive torus knots are written back: not the mirror -T(2,5), and no
+    # file at all for a winding bound that reads no positive torus knot.
     path = tmp_path / "cache.json"
     run_ok(["bound", "winding", "T(2,5)", "--cache", str(path)])
-    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0], "-T(2,5)": [0, 0, 0]}
+    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
+    path = tmp_path / "mixed.json"
+    run_ok(["bound", "winding", "T(2,3) # -T(2,5)", "--cache", str(path)])
+    assert not path.exists()
 
 
 def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):
@@ -707,8 +749,7 @@ def test_cache_entries_without_the_v_sequence_shape_are_recomputed(tmp_path, ent
     cached = run_ok(argv + ["--format", "json", "--cache", str(path), "--", expr])
     assert cached == plain
     assert json.loads(cached)["value"] == value
-    stored = json.loads(path.read_text())["entries"][expr]
-    assert len(stored) == parse_knot_expr(expr).genus + 1 and stored[-1] == 0
+    assert cache_load(path) == entries  # the sum is not written back
 
 
 @pytest.mark.parametrize(
