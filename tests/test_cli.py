@@ -591,20 +591,34 @@ def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
     assert memo == stale  # the semigroup count reads no memo
 
 
-def test_cache_load_builds_no_complex(tmp_path, monkeypatch):
+def _forbid_complexes(monkeypatch):
     from knotwind import complexes
-
-    seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
-    entries = {
-        "T(2,3)": [1, 0], "T(2,5)": [1, 1, 0], "U": [], "-T(2,3)": [0, 0],
-        "T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0], seven: [0],
-    }
 
     def build(expr):
         raise AssertionError(f"the complex of {expr} was built")
 
     monkeypatch.setattr(complexes, "complex_of", build)
+
+
+def test_cache_spot_check_recomputes_nothing_above_its_generator_limit(tmp_path, monkeypatch):
+    # The load has no generator limit any more: it recomputes no sum or mirror, of any
+    # size, and serves none of them, so stale ones load as they are.
+    seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
+    assert parse_knot_expr(seven).single_positive_torus_knot() is None
+    entries = {
+        "T(2,3)": [1, 0], "U": [], "-T(2,3)": [0, 0],
+        "T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0], seven: [0],
+    }
+    _forbid_complexes(monkeypatch)
     path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    assert cache_load(path) == entries
+
+
+def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):
+    _forbid_complexes(monkeypatch)
+    path = tmp_path / "cache.json"
+    entries = {"T(2,3)": [1, 0], "T(2,5)": [1, 1, 0]}
     path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
     assert cache_load(path) == entries
 
