@@ -6,10 +6,10 @@ are ignored with a warning and files from another tool version silently
 (the next store rewrites them), never fatally.  On load every single
 positive torus knot entry is compared with its semigroup count, and a
 mismatch discards the file; no other entry is checked, so a command is
-served only those (`verified_entries`) and computes every other V-sequence
-afresh.  Loading builds no complex.  Writes go through a temporary file and
-an atomic rename, so concurrent writers cannot corrupt the file (last
-writer wins).
+served only those, under their canonical expression string
+(`verified_entries`), and computes every other V-sequence afresh.  Loading
+builds no complex.  Writes go through a temporary file and an atomic
+rename, so concurrent writers cannot corrupt the file (last writer wins).
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ def _spot_check(entries: dict[str, list[int]], knots: dict[str, TorusKnot]) -> b
 
 
 def verified_entries(entries: Mapping[str, list[int]]) -> dict[str, list[int]]:
-    """The entries `cache_load` verifies, those of single positive torus knots: the only
-    ones a command is served, and the only ones it writes back.
+    """The entries `cache_load` verifies, those of single positive torus knots, kept
+    under their canonical expression string only: the only ones a command is served
+    (`v_sequence` looks its memo up by that string, so no other key could be), and
+    the only ones it writes back.
 
     The keys must parse, as those of `cache_load` and of a `v_memo` do.
     """
     return {
         key: values for key, values in entries.items()
-        if parse_knot_expr(key).single_positive_torus_knot() is not None
+        if (expr := parse_knot_expr(key)).single_positive_torus_knot() is not None and str(expr) == key
     }
 
 

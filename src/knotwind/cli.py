@@ -107,82 +107,73 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_leaf(parser: argparse.ArgumentParser, handler, title: str) -> None:
-    """Shared flags of a leaf command, its handler and its document's command name."""
-    parser.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default=argparse.SUPPRESS,
-        help="output format (default: table)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=argparse.SUPPRESS,
-        help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="disable the cache entirely (no file access)",
-    )
-    parser.set_defaults(handler=handler, title=title)
+def _format_flag() -> _Parser:
+    """The one declaration of `--format`, which every command inherits.  It has a
+    parser of its own, so `_error_format` can read it off a refused command line
+    without tripping on another malformed flag, such as `--cache` with no path."""
+    flags = _Parser(add_help=False)
+    flags.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                       help="output format (default: table)")
+    return flags
 
 
 def build_parser() -> _Parser:
+    """The command tree.  The flags every command takes are declared once, with
+    their defaults, and each leaf inherits them (`parents=`), so its --help
+    lists them first; its handler and its document's command name, read off its
+    parser path, are its defaults."""
+    flags = _Parser(add_help=False, parents=[_format_flag()])
+    flags.add_argument(
+        "--cache",
+        metavar="PATH",
+        help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
+    )
+    flags.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
+
+    def leaf(sub, name: str, handler, **kwargs) -> _Parser:
+        p = sub.add_parser(name, parents=[flags], **kwargs)
+        p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
+        return p
+
     parser = _Parser(prog="knotwind", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.set_defaults(format="table", cache=None, no_cache=False, handler=None)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.set_defaults(handler=None)
+    sub = parser.add_subparsers(metavar="COMMAND")
 
-    p = sub.add_parser("vseq", help="V-sequence of a knot expression")
+    p = leaf(sub, "vseq", _cmd_vseq, help="V-sequence of a knot expression")
     p.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
-    _add_leaf(p, _cmd_vseq, "vseq")
 
-    p = sub.add_parser("dinv", help="d-invariants of a positive surgery")
+    p = leaf(sub, "dinv", _cmd_dinv, help="d-invariants of a positive surgery")
     p.add_argument("expr")
     p.add_argument("--n", type=_int, required=True, help="surgery coefficient (positive)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--i", type=_int, default=None, help="single spin^c index")
     group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
-    _add_leaf(p, _cmd_dinv, "dinv")
 
-    bound = sub.add_parser("bound", help="lower-bound combinators")
-    bound_sub = bound.add_subparsers(dest="bound_kind", metavar="KIND")
-    p = bound_sub.add_parser("winding", help="winding bound via the 0-surgery knot J")
+    kinds = sub.add_parser("bound", help="lower-bound combinators").add_subparsers(metavar="KIND")
+    p = leaf(kinds, "winding", lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)),
+             help="winding bound via the 0-surgery knot J")
     p.add_argument("expr")
-    _add_leaf(p, lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)), "bound winding")
-    p = bound_sub.add_parser("shake", help="0-shake genus bound")
+    p = leaf(kinds, "shake", lambda args: shake_bound(parse_knot_expr(args.expr)), help="0-shake genus bound")
     p.add_argument("expr")
-    _add_leaf(p, lambda args: shake_bound(parse_knot_expr(args.expr)), "bound shake")
-    p = bound_sub.add_parser("essential", help="essential-class bound from a d-table file")
+    p = leaf(kinds, "essential", _cmd_bound_essential, help="essential-class bound from a d-table file")
     p.add_argument("--w", type=_int, required=True, help="even winding class")
     p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
-    _add_leaf(p, _cmd_bound_essential, "bound essential")
 
-    examples = sub.add_parser("examples", help="built-in worked bound chains")
-    examples_sub = examples.add_subparsers(dest="example", metavar="NAME")
-    p = examples_sub.add_parser("kn", help="the sharp family with winding number 4n+2")
+    kinds = sub.add_parser("examples", help="built-in worked bound chains").add_subparsers(metavar="NAME")
+    p = leaf(kinds, "kn", lambda args: reproduce_kn(args.n), help="the sharp family with winding number 4n+2")
     p.add_argument("--n", type=_int, required=True)
-    _add_leaf(p, lambda args: reproduce_kn(args.n), "examples kn")
-    p = examples_sub.add_parser("whitehead", help="the knotified Hopf link bound")
-    _add_leaf(p, lambda args: reproduce_whitehead(), "examples whitehead")
+    leaf(kinds, "whitehead", lambda args: reproduce_whitehead(), help="the knotified Hopf link bound")
 
-    seifert = sub.add_parser("seifert", help="Seifert presentations")
-    seifert_sub = seifert.add_subparsers(dest="seifert_kind", metavar="NAME")
-    p = seifert_sub.add_parser("kn", help="four-fibre presentation of the K_n surgery")
+    kinds = sub.add_parser("seifert", help="Seifert presentations").add_subparsers(metavar="NAME")
+    p = leaf(kinds, "kn", _cmd_seifert_kn, help="four-fibre presentation of the K_n surgery")
     p.add_argument("--n", type=_int, required=True)
-    _add_leaf(p, _cmd_seifert_kn, "seifert kn")
 
-    ncf = sub.add_parser("ncf", help="negative continued fractions")
-    ncf_sub = ncf.add_subparsers(dest="ncf_kind", metavar="OP")
-    p = ncf_sub.add_parser("eval", help="evaluate a coefficient list, e.g. 4,2")
+    kinds = sub.add_parser("ncf", help="negative continued fractions").add_subparsers(metavar="OP")
+    p = leaf(kinds, "eval", _cmd_ncf_eval, help="evaluate a coefficient list, e.g. 4,2")
     p.add_argument("coeffs")
-    _add_leaf(p, _cmd_ncf_eval, "ncf eval")
-    p = ncf_sub.add_parser("expand", help="expand a rational > 1, e.g. 7/2")
+    p = leaf(kinds, "expand", _cmd_ncf_expand, help="expand a rational > 1, e.g. 7/2")
     p.add_argument("value")
-    _add_leaf(p, _cmd_ncf_expand, "ncf expand")
 
     return parser
 
@@ -263,6 +254,7 @@ def _cmd_ncf_expand(args) -> BoundReport:
 
 
 def _flatten_value(value) -> list[tuple[str, str]]:
+    """(name, text) rows of a document's value, as the table and CSV renderers print them."""
     if isinstance(value, dict):
         return [(f"d_{k}", str(v)) for k, v in value.items()]
     if isinstance(value, list):
@@ -293,11 +285,9 @@ def render_document(doc: dict, fmt: str) -> str:
     value = doc.get("value")
     if isinstance(value, dict):
         lines.append("value:")
-        lines.extend(f"  d_{k} = {v}" for k, v in value.items())
-    elif isinstance(value, list):
-        lines.append("value: " + " ".join(str(v) for v in value))
-    else:
-        lines.append(f"value: {_scalar_str(value)}")
+        lines.extend(f"  {name} = {val}" for name, val in _flatten_value(value))
+    else:  # a sequence on one line, a scalar as its one row
+        lines.append("value: " + " ".join(val for _, val in _flatten_value(value)))
     if "induced_minimum" in doc:
         lines.append(f"induced minimum: {doc['induced_minimum']}")
     if "sharp" in doc:
@@ -322,13 +312,15 @@ def _error_output(exc: Exception, fmt: str) -> tuple[int, str, str]:
     return status, "", f"error ({kind}): {message}\n"
 
 
-def _sniff_format(argv: Sequence[str]) -> str:
-    for idx, token in enumerate(argv):
-        if token == "--format" and idx + 1 < len(argv):
-            return argv[idx + 1]
-        if token.startswith("--format="):
-            return token.split("=", 1)[1]
-    return "table"
+def _error_format(argv: Sequence[str]) -> str:
+    """`--format` as argparse reads it off a command line it refused (the last one
+    given, `--format=` and abbreviations, nothing after `--`); the default if
+    the format itself is refused."""
+    flags = _format_flag()
+    try:
+        return flags.parse_known_args(list(argv))[0].format
+    except ValidationError:
+        return flags.get_default("format")
 
 
 def run(argv: Sequence[str]) -> tuple[int, str, str]:
@@ -339,7 +331,7 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
         if args.handler is None:
             raise ValidationError("no command given; see --help")
     except ValidationError as exc:
-        return _error_output(exc, _sniff_format(argv))
+        return _error_output(exc, _error_format(argv))
     fmt = args.format
     cache_path = None
     if not args.no_cache:
@@ -347,7 +339,7 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     try:  # loading the cache can exhaust memory too
         served = verified_entries(cache_load(cache_path)) if cache_path else {}
         with v_memo(served) as memo:
-            output = render_document(_report_doc(args.title, args.handler(args)), fmt)
+            output = render_document(_report_doc(args.command, args.handler(args)), fmt)
             if cache_path:
                 stored = verified_entries(memo)
                 if stored != served:

@@ -38,6 +38,12 @@ LONG_EVEN = "4" * (DIGIT_LIMIT + 1)
 
 README_KEYS = {"command", "inputs", "value", "induced_minimum", "sharp", "trail"}
 
+# The words of every leaf command, as its document's "command" reads.
+LEAVES = [
+    "vseq", "dinv", "bound winding", "bound shake", "bound essential", "examples kn",
+    "examples whitehead", "seifert kn", "ncf eval", "ncf expand",
+]
+
 
 def run_ok(argv):
     status, out, err = run(argv)
@@ -247,7 +253,7 @@ def test_cli_json_document_shape(argv, tmp_path):
     argv = [str(dtable) if word == "DTABLE" else word for word in argv]
     doc = json.loads(run_ok(argv + ["--format", "json", "--no-cache"]))
     assert {"command", "inputs", "value", "trail"} <= set(doc) <= README_KEYS
-    assert argv[: len(doc["command"].split())] == doc["command"].split()
+    assert doc["command"] == next(leaf for leaf in LEAVES if argv[: len(leaf.split())] == leaf.split())
     assert doc["trail"]
     for entry in doc["trail"]:
         assert set(entry) == {"name", "value", "anchor"}
@@ -404,7 +410,7 @@ def test_cli_renders_the_sharp_line_of_a_table():
 
 
 def test_cli_parse_error_honours_the_equals_form_of_format():
-    # argparse refuses --n before the format is parsed, so the format is read off argv.
+    # argparse refuses --n, and `run` reads the format as argparse does, the --format= form included.
     status, out, err = run(["dinv", "T(2,3)", "--n", "three", "--format=json", "--no-cache"])
     assert (status, err) == (2, "")
     assert out == (
@@ -415,6 +421,28 @@ def test_cli_parse_error_honours_the_equals_form_of_format():
         "  }\n"
         "}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message, fmt",
+    [
+        (["dinv", "T(2,3)", "--n", "x", "--form", "json"], "argument --n: invalid int value: 'x'", "json"),
+        (["dinv", "T(2,3)", "--n", "x", "--format", "json", "--format", "csv"],
+         "argument --n: invalid int value: 'x'", "csv"),
+        (["vseq", "--", "--format", "json"], "unrecognized arguments: json", "table"),
+        (["vseq", "T(2,3)", "--format", "json", "--cache"], "argument --cache: expected one argument", "json"),
+    ],
+    ids=["abbreviation", "last format", "after --", "cache without a path"],
+)
+def test_cli_parse_error_reads_the_format_as_argparse_does(argv, message, fmt):
+    # The last --format given counts, an abbreviation counts, nothing after -- is a flag,
+    # and a malformed other flag does not hide the format.
+    status, out, err = run(argv)
+    assert status == 2
+    if fmt == "json":
+        assert (json.loads(out), err) == ({"error": {"kind": "validation", "message": message}}, "")
+    else:
+        assert (out, err) == ("", f"error (validation): {message}\n")
 
 
 def test_main_writes_both_streams_and_returns_the_status(capsys):
@@ -581,6 +609,17 @@ def test_cache_serves_no_entry_off_the_semigroup_route(tmp_path, entries, value)
     assert cache_load(path) == entries
 
 
+def test_cache_writes_back_only_canonical_keys(tmp_path):
+    # Both entries are right and load, but v_sequence looks its memo up by the
+    # canonical string, so neither key could be served, and neither is written back.
+    path = tmp_path / "cache.json"
+    entries = {"T(3,2)": [1, 0], "t(2, 5)": [1, 1, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    assert cache_load(path) == entries
+    run_ok(["vseq", "T(2,3)", "--cache", str(path)])
+    assert json.loads(path.read_text())["entries"] == {"T(2,3)": [1, 0]}
+
+
 def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
     stale = {"T(2,5)": [2, 1, 0]}
     path = tmp_path / "cache.json"
@@ -738,6 +777,14 @@ def test_cli_no_cache_never_touches_file(tmp_path, monkeypatch):
     assert path.exists()  # env var supplies the default path
 
 
+def test_cli_cache_flag_overrides_the_environment(tmp_path, monkeypatch):
+    env_path, flag_path = tmp_path / "env.json", tmp_path / "flag.json"
+    monkeypatch.setenv("KNOTWIND_CACHE", str(env_path))
+    run_ok(["vseq", "T(2,3)", "--cache", str(flag_path)])
+    assert not env_path.exists()
+    assert json.loads(flag_path.read_text())["entries"] == {"T(2,3)": [1, 0]}
+
+
 def test_cli_version_and_help():
     from knotwind.cli import main
 
@@ -788,3 +835,12 @@ def test_resource_failures_get_an_error_document(tmp_path, monkeypatch, target, 
     status, out, err = run(["vseq", "T(2,3)"] + cache)
     assert (status, out) == (1, "")
     assert err == f"error (resource): {doc['message']}\n"
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_cli_help_of_every_leaf_lists_the_shared_flags(leaf, capsys):
+    assert cli.main([*leaf.split(), "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: knotwind {leaf} ")
+    for flag in ("--format", "--cache", "--no-cache"):
+        assert flag in out
