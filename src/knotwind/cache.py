@@ -4,12 +4,12 @@ The file holds {"tool_version": ..., "entries": {expr: [V_0, V_1, ...]}}.
 Corrupt files, and files with an entry the engine would refuse to compute,
 are ignored with a warning and files from another tool version silently
 (the next store rewrites them), never fatally.  On load every single
-positive torus knot entry is compared with its semigroup count, and a
-mismatch discards the file; no other entry is checked, so a command is
-served only those, under their canonical expression string
-(`verified_entries`), and computes every other V-sequence afresh.  Loading
-builds no complex.  Writes go through a temporary file and an atomic
-rename, so concurrent writers cannot corrupt the file (last writer wins).
+positive torus knot entry under its canonical expression string is compared
+with its semigroup count, and a mismatch discards the file; no other entry
+is checked, so a command is served only those (`verified_entries`), and
+computes every other V-sequence afresh.  Loading builds no complex.  Writes
+go through a temporary file and an atomic rename, so concurrent writers
+cannot corrupt the file (last writer wins).
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
     it does not parse or names a V-sequence the engine refuses to compute: a
     semigroup conductor above its limit, or, for anything but a single
     positive torus knot, a complex above `_GENERATOR_LIMIT` generators, by the
-    count `complex_of` applies.  A single positive torus knot entry that
-    differs from its semigroup count is stale.  No other entry is checked:
-    the caller serves only `verified_entries` of the result.
+    count `complex_of` applies.  A single positive torus knot entry under its
+    canonical expression string that differs from its semigroup count is
+    stale.  No other entry is checked, a non-canonical key such as "T(3,2)"
+    included: the caller serves only `verified_entries` of the result.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -90,7 +91,7 @@ def cache_load(path: str | os.PathLike) -> dict[str, list[int]]:
             knot = expr.single_positive_torus_knot()
             if knot is None:
                 _check_size(size)
-            else:  # its V is a semigroup count, no complex
+            elif str(expr) == key:  # its V is a semigroup count, no complex
                 knots[key] = knot
         except ValidationError:
             values = None  # a key the engine refuses is malformed like bad values

@@ -118,11 +118,13 @@ def _format_flag() -> _Parser:
 
 
 def build_parser() -> _Parser:
-    """The command tree.  The flags every command takes are declared once, with
-    their defaults, and each leaf inherits them (`parents=`), so its --help
-    lists them first; its handler and its document's command name, read off its
-    parser path, are its defaults."""
-    flags = _Parser(add_help=False, parents=[_format_flag()])
+    """The command tree.  The flags every command takes, `-h` included, are
+    declared once, with their defaults, and each leaf inherits them (`parents=`),
+    so its --help lists them first; its handler and its document's command name,
+    read off its parser path, are its defaults.  Each subcommand level is given
+    its parser's prog, which argparse would otherwise derive by formatting a
+    usage line (no positional comes before a subcommand, so the two agree)."""
+    flags = _Parser(parents=[_format_flag()])
     flags.add_argument(
         "--cache",
         metavar="PATH",
@@ -131,14 +133,18 @@ def build_parser() -> _Parser:
     flags.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
 
     def leaf(sub, name: str, handler, **kwargs) -> _Parser:
-        p = sub.add_parser(name, parents=[flags], **kwargs)
+        p = sub.add_parser(name, add_help=False, parents=[flags], **kwargs)
         p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
         return p
+
+    def branch(sub, name: str, metavar: str, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        return p.add_subparsers(metavar=metavar, prog=p.prog)
 
     parser = _Parser(prog="knotwind", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.set_defaults(handler=None)
-    sub = parser.add_subparsers(metavar="COMMAND")
+    sub = parser.add_subparsers(metavar="COMMAND", prog=parser.prog)
 
     p = leaf(sub, "vseq", _cmd_vseq, help="V-sequence of a knot expression")
     p.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
@@ -150,7 +156,7 @@ def build_parser() -> _Parser:
     group.add_argument("--i", type=_int, default=None, help="single spin^c index")
     group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
 
-    kinds = sub.add_parser("bound", help="lower-bound combinators").add_subparsers(metavar="KIND")
+    kinds = branch(sub, "bound", "KIND", help="lower-bound combinators")
     p = leaf(kinds, "winding", lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)),
              help="winding bound via the 0-surgery knot J")
     p.add_argument("expr")
@@ -160,16 +166,16 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=_int, required=True, help="even winding class")
     p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
 
-    kinds = sub.add_parser("examples", help="built-in worked bound chains").add_subparsers(metavar="NAME")
+    kinds = branch(sub, "examples", "NAME", help="built-in worked bound chains")
     p = leaf(kinds, "kn", lambda args: reproduce_kn(args.n), help="the sharp family with winding number 4n+2")
     p.add_argument("--n", type=_int, required=True)
     leaf(kinds, "whitehead", lambda args: reproduce_whitehead(), help="the knotified Hopf link bound")
 
-    kinds = sub.add_parser("seifert", help="Seifert presentations").add_subparsers(metavar="NAME")
+    kinds = branch(sub, "seifert", "NAME", help="Seifert presentations")
     p = leaf(kinds, "kn", _cmd_seifert_kn, help="four-fibre presentation of the K_n surgery")
     p.add_argument("--n", type=_int, required=True)
 
-    kinds = sub.add_parser("ncf", help="negative continued fractions").add_subparsers(metavar="OP")
+    kinds = branch(sub, "ncf", "OP", help="negative continued fractions")
     p = leaf(kinds, "eval", _cmd_ncf_eval, help="evaluate a coefficient list, e.g. 4,2")
     p.add_argument("coeffs")
     p = leaf(kinds, "expand", _cmd_ncf_expand, help="expand a rational > 1, e.g. 7/2")

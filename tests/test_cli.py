@@ -1,5 +1,6 @@
 """Parser round-trips, CLI output formats, exit codes and the cache."""
 
+import argparse
 import json
 import os
 import re
@@ -620,6 +621,20 @@ def test_cache_writes_back_only_canonical_keys(tmp_path):
     assert json.loads(path.read_text())["entries"] == {"T(2,3)": [1, 0]}
 
 
+def test_cache_checks_no_key_it_cannot_serve(tmp_path):
+    # "T(3,2)" is not canonical, so it is never served: its wrong value is not
+    # compared, and the correct canonical entry beside it still loads and is served.
+    path = tmp_path / "cache.json"
+    entries = {"T(2,3)": [1, 0], "T(3,2)": [5, 0]}
+    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache_load(path) == entries
+        out = run_ok(["vseq", "T(2,3)", "--cache", str(path)])
+    assert caught == []
+    assert "value: 1 0" in out.splitlines()
+
+
 def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
     stale = {"T(2,5)": [2, 1, 0]}
     path = tmp_path / "cache.json"
@@ -839,8 +854,31 @@ def test_resource_failures_get_an_error_document(tmp_path, monkeypatch, target, 
 
 @pytest.mark.parametrize("leaf", LEAVES)
 def test_cli_help_of_every_leaf_lists_the_shared_flags(leaf, capsys):
-    assert cli.main([*leaf.split(), "--help"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(f"usage: knotwind {leaf} ")
-    for flag in ("--format", "--cache", "--no-cache"):
-        assert flag in out
+    for help_flag in ("--help", "-h"):
+        assert cli.main([*leaf.split(), help_flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: knotwind {leaf} [-h] ")
+        options = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
+        assert options[:4] == ["-h,", "--format", "--cache", "--no-cache"]
+        assert out.count("-h, --help") == 1
+
+
+def _parsers(parser, path=()):
+    """(words, parser) of `parser` and of every subcommand below it, depth first."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, (*path, name))
+
+
+def test_every_parser_is_named_by_its_path_and_every_group_answers_h(capsys):
+    parsers = list(_parsers(cli.build_parser()))
+    for path, parser in parsers:
+        assert parser.prog == " ".join(("knotwind", *path))
+    leaves = [tuple(leaf.split()) for leaf in LEAVES]
+    groups = [(), ("bound",), ("examples",), ("seifert",), ("ncf",)]
+    assert sorted(path for path, _ in parsers) == sorted(leaves + groups)
+    for path in groups:
+        assert cli.main([*path, "-h"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(('knotwind', *path))} [-h] ")
