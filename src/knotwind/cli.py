@@ -107,24 +107,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _format_flag() -> _Parser:
-    """The one declaration of `--format`, which every command inherits.  It has a
-    parser of its own, so `_error_format` can read it off a refused command line
-    without tripping on another malformed flag, such as `--cache` with no path."""
-    flags = _Parser(add_help=False)
-    flags.add_argument("--format", choices=("table", "json", "csv"), default="table",
-                       help="output format (default: table)")
-    return flags
+_FORMAT = {"choices": ("table", "json", "csv"), "default": "table", "help": "output format (default: table)"}
 
 
 def build_parser() -> _Parser:
     """The command tree.  The flags every command takes, `-h` included, are
-    declared once, with their defaults, and each leaf inherits them (`parents=`),
-    so its --help lists them first; its handler and its document's command name,
-    read off its parser path, are its defaults.  Each subcommand level is given
-    its parser's prog, which argparse would otherwise derive by formatting a
-    usage line (no positional comes before a subcommand, so the two agree)."""
-    flags = _Parser(parents=[_format_flag()])
+    declared once, with their defaults, in `flags`, the one parser outside the
+    tree, and each leaf inherits them (`parents=`), so its --help lists them
+    first; its handler and its document's command name, read off its parser
+    path, are its defaults.  Each subcommand level is required, so argparse
+    refuses a line without one, and is given its parser's prog, which argparse
+    would otherwise derive by formatting a usage line (no positional comes
+    before a subcommand, so the two agree)."""
+    flags = _Parser()
+    flags.add_argument("--format", **_FORMAT)
     flags.add_argument(
         "--cache",
         metavar="PATH",
@@ -139,12 +135,11 @@ def build_parser() -> _Parser:
 
     def branch(sub, name: str, metavar: str, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        return p.add_subparsers(metavar=metavar, prog=p.prog)
+        return p.add_subparsers(metavar=metavar, prog=p.prog, required=True)
 
     parser = _Parser(prog="knotwind", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.set_defaults(handler=None)
-    sub = parser.add_subparsers(metavar="COMMAND", prog=parser.prog)
+    sub = parser.add_subparsers(metavar="COMMAND", prog=parser.prog, required=True)
 
     p = leaf(sub, "vseq", _cmd_vseq, help="V-sequence of a knot expression")
     p.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
@@ -321,12 +316,15 @@ def _error_output(exc: Exception, fmt: str) -> tuple[int, str, str]:
 def _error_format(argv: Sequence[str]) -> str:
     """`--format` as argparse reads it off a command line it refused (the last one
     given, `--format=` and abbreviations, nothing after `--`); the default if
-    the format itself is refused."""
-    flags = _format_flag()
+    the format itself is refused.  Its one-flag parser is declared from the spec
+    `flags` uses, so another malformed flag, such as `--cache` with no path, does
+    not hide the format."""
+    flags = _Parser(add_help=False)
+    flags.add_argument("--format", **_FORMAT)
     try:
         return flags.parse_known_args(list(argv))[0].format
     except ValidationError:
-        return flags.get_default("format")
+        return _FORMAT["default"]
 
 
 def run(argv: Sequence[str]) -> tuple[int, str, str]:
@@ -334,14 +332,10 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if args.handler is None:
-            raise ValidationError("no command given; see --help")
     except ValidationError as exc:
         return _error_output(exc, _error_format(argv))
     fmt = args.format
-    cache_path = None
-    if not args.no_cache:
-        cache_path = args.cache or os.environ.get(CACHE_ENV) or None
+    cache_path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV)
     try:  # loading the cache can exhaust memory too
         served = verified_entries(cache_load(cache_path)) if cache_path else {}
         with v_memo(served) as memo:

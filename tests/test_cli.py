@@ -460,7 +460,7 @@ def test_main_writes_both_streams_and_returns_the_status(capsys):
     assert capsys.readouterr() == ("", "error (validation): torus knot parameters (2,4) are not coprime\n")
 
 
-def test_cli_validation_errors_and_exit_codes():
+def test_cli_validation_errors_and_exit_codes(capsys):
     status, out, err = run(["vseq", "T(2,4)", "--format", "json"])
     assert status == 2
     doc = json.loads(out)
@@ -509,10 +509,19 @@ def test_cli_validation_errors_and_exit_codes():
     # A single label is one value, at any n.
     status, out, _ = run(["dinv", "T(2,3)", "--n", "100001", "--i", "0", "--no-cache", "--format", "json"])
     assert status == 0 and json.loads(out)["value"] == "24998"  # (n - 9) / 4 at V_0 = 1
-    status, _, _ = run([])
-    assert status == 2
+    # argparse refuses a line without a command or subcommand, naming what is missing,
+    # and reads the format off the refused line.
+    for argv, missing in (([], "COMMAND"), (["bound"], "KIND"), (["ncf"], "OP")):
+        assert run(argv) == (2, "", f"error (validation): the following arguments are required: {missing}\n")
+    status, out, err = run(["examples", "--format=json"])
+    assert (status, err) == (2, "")
+    message = "the following arguments are required: NAME"
+    assert json.loads(out) == {"error": {"kind": "validation", "message": message}}
     status, _, _ = run(["nonsense"])
     assert status == 2
+    # --version acts before argparse checks for a command.
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out == f"knotwind {__version__}\n"
 
 
 def test_cache_store_load_round_trip(tmp_path):
@@ -795,6 +804,10 @@ def test_cli_no_cache_never_touches_file(tmp_path, monkeypatch):
 def test_cli_cache_flag_overrides_the_environment(tmp_path, monkeypatch):
     env_path, flag_path = tmp_path / "env.json", tmp_path / "flag.json"
     monkeypatch.setenv("KNOTWIND_CACHE", str(env_path))
+    # --no-cache wins over --cache and the environment, whichever flag comes last.
+    for flags in (["--no-cache", "--cache", str(flag_path)], ["--cache", str(flag_path), "--no-cache"]):
+        run_ok(["vseq", "T(2,3)", *flags])
+        assert not env_path.exists() and not flag_path.exists()
     run_ok(["vseq", "T(2,3)", "--cache", str(flag_path)])
     assert not env_path.exists()
     assert json.loads(flag_path.read_text())["entries"] == {"T(2,3)": [1, 0]}
