@@ -110,71 +110,111 @@ class _Parser(argparse.ArgumentParser):
 _FORMAT = {"choices": ("table", "json", "csv"), "default": "table", "help": "output format (default: table)"}
 
 
-def build_parser() -> _Parser:
-    """The command tree.  The flags every command takes, `-h` included, are
-    declared once, with their defaults, in `flags`, the one parser outside the
-    tree, and each leaf inherits them (`parents=`), so its --help lists them
-    first; its handler and its document's command name, read off its parser
-    path, are its defaults.  Each subcommand level is required, so argparse
-    refuses a line without one, and is given its parser's prog, which argparse
-    would otherwise derive by formatting a usage line (no positional comes
-    before a subcommand, so the two agree)."""
-    flags = _Parser()
-    flags.add_argument("--format", **_FORMAT)
-    flags.add_argument(
-        "--cache",
-        metavar="PATH",
-        help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
-    )
-    flags.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
+class _Misplaced(argparse.Action):
+    """A shared flag before the subcommand, which only the leaves declare: refused
+    by name, where argparse would read it as unknown and its value as the subcommand."""
 
-    def leaf(sub, name: str, handler, **kwargs) -> _Parser:
-        p = sub.add_parser(name, add_help=False, parents=[flags], **kwargs)
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self, "put it after the subcommand")
+
+
+def _spec(*parents: _Parser, add_help: bool = False) -> _Parser:
+    """An argument spec: a parser outside the tree that only declares arguments,
+    built once, at import.  A parser of the tree names one spec (`parents=`) and
+    argparse copies its actions, the same objects into every parser that names it.
+    A spec is given a prog so that building it reads no `sys.argv`."""
+    return _Parser(prog="knotwind", add_help=add_help, parents=list(parents))
+
+
+_HELP = _spec(add_help=True)  # `-h`/`--help`, as argparse declares it
+
+# The flags every command takes, with their defaults; `--help` of a leaf lists them first.
+_SHARED = _spec(_HELP)
+_SHARED.add_argument("--format", **_FORMAT)
+_SHARED.add_argument(
+    "--cache",
+    metavar="PATH",
+    help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
+)
+_SHARED.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
+
+# The root and the groups know the shared flags only to refuse them, and list none.
+_MISPLACED = _spec(_HELP)
+for _flag in ("--format", "--cache", "--no-cache"):
+    _MISPLACED.add_argument(_flag, nargs="?", action=_Misplaced, help=argparse.SUPPRESS)
+
+_ROOT = _spec(_MISPLACED)
+_ROOT.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+
+_EXPR = _spec(_SHARED)
+_EXPR.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
+
+_DINV = _spec(_EXPR)
+_DINV.add_argument("--n", type=_int, required=True, help="surgery coefficient (positive)")
+_group = _DINV.add_mutually_exclusive_group()
+_group.add_argument("--i", type=_int, default=None, help="single spin^c index")
+_group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
+
+_ESSENTIAL = _spec(_SHARED)
+_ESSENTIAL.add_argument("--w", type=_int, required=True, help="even winding class")
+_ESSENTIAL.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
+
+_FAMILY = _spec(_SHARED)  # the index n of the family K_n
+_FAMILY.add_argument("--n", type=_int, required=True)
+
+_COEFFS = _spec(_SHARED)
+_COEFFS.add_argument("coeffs")
+
+_VALUE = _spec(_SHARED)
+_VALUE.add_argument("value")
+
+# What `_error_format` reads off a refused line: a malformed `--cache` cannot hide it.
+_FORMAT_ONLY = _spec()
+_FORMAT_ONLY.add_argument("--format", **_FORMAT)
+
+
+def build_parser() -> _Parser:
+    """The command tree, built afresh on each call; it declares no argument.
+    Each of its parsers names one argument spec (`parents=`): the leaves the
+    shared flags, `-h` included, with their own arguments after them, so a
+    leaf's --help lists the shared flags first; the root and the groups `-h`
+    and the shared flags they refuse.  A leaf's handler and its document's
+    command name, read off its parser path, are its defaults.  Each subcommand
+    level is required, so argparse refuses a line without one, and is given
+    its parser's prog, which argparse would otherwise derive by formatting a
+    usage line (no positional comes before a subcommand, so the two agree)."""
+
+    def leaf(sub, name: str, spec: _Parser, handler, **kwargs) -> _Parser:
+        p = sub.add_parser(name, add_help=False, parents=[spec], **kwargs)
         p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
         return p
 
     def branch(sub, name: str, metavar: str, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, add_help=False, parents=[_MISPLACED], **kwargs)
         return p.add_subparsers(metavar=metavar, prog=p.prog, required=True)
 
-    parser = _Parser(prog="knotwind", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser = _Parser(prog="knotwind", description=__doc__.splitlines()[0], add_help=False, parents=[_ROOT])
     sub = parser.add_subparsers(metavar="COMMAND", prog=parser.prog, required=True)
 
-    p = leaf(sub, "vseq", _cmd_vseq, help="V-sequence of a knot expression")
-    p.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
-
-    p = leaf(sub, "dinv", _cmd_dinv, help="d-invariants of a positive surgery")
-    p.add_argument("expr")
-    p.add_argument("--n", type=_int, required=True, help="surgery coefficient (positive)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--i", type=_int, default=None, help="single spin^c index")
-    group.add_argument("--all", action="store_true", help="all indices 0..n-1 (default)")
+    leaf(sub, "vseq", _EXPR, _cmd_vseq, help="V-sequence of a knot expression")
+    leaf(sub, "dinv", _DINV, _cmd_dinv, help="d-invariants of a positive surgery")
 
     kinds = branch(sub, "bound", "KIND", help="lower-bound combinators")
-    p = leaf(kinds, "winding", lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)),
-             help="winding bound via the 0-surgery knot J")
-    p.add_argument("expr")
-    p = leaf(kinds, "shake", lambda args: shake_bound(parse_knot_expr(args.expr)), help="0-shake genus bound")
-    p.add_argument("expr")
-    p = leaf(kinds, "essential", _cmd_bound_essential, help="essential-class bound from a d-table file")
-    p.add_argument("--w", type=_int, required=True, help="even winding class")
-    p.add_argument("--dtable", required=True, metavar="FILE", help='JSON {"w": int, "d": {...}}')
+    leaf(kinds, "winding", _EXPR, lambda args: winding_bound_via_zero_surgery(parse_knot_expr(args.expr)),
+         help="winding bound via the 0-surgery knot J")
+    leaf(kinds, "shake", _EXPR, lambda args: shake_bound(parse_knot_expr(args.expr)), help="0-shake genus bound")
+    leaf(kinds, "essential", _ESSENTIAL, _cmd_bound_essential, help="essential-class bound from a d-table file")
 
     kinds = branch(sub, "examples", "NAME", help="built-in worked bound chains")
-    p = leaf(kinds, "kn", lambda args: reproduce_kn(args.n), help="the sharp family with winding number 4n+2")
-    p.add_argument("--n", type=_int, required=True)
-    leaf(kinds, "whitehead", lambda args: reproduce_whitehead(), help="the knotified Hopf link bound")
+    leaf(kinds, "kn", _FAMILY, lambda args: reproduce_kn(args.n), help="the sharp family with winding number 4n+2")
+    leaf(kinds, "whitehead", _SHARED, lambda args: reproduce_whitehead(), help="the knotified Hopf link bound")
 
     kinds = branch(sub, "seifert", "NAME", help="Seifert presentations")
-    p = leaf(kinds, "kn", _cmd_seifert_kn, help="four-fibre presentation of the K_n surgery")
-    p.add_argument("--n", type=_int, required=True)
+    leaf(kinds, "kn", _FAMILY, _cmd_seifert_kn, help="four-fibre presentation of the K_n surgery")
 
     kinds = branch(sub, "ncf", "OP", help="negative continued fractions")
-    p = leaf(kinds, "eval", _cmd_ncf_eval, help="evaluate a coefficient list, e.g. 4,2")
-    p.add_argument("coeffs")
-    p = leaf(kinds, "expand", _cmd_ncf_expand, help="expand a rational > 1, e.g. 7/2")
-    p.add_argument("value")
+    leaf(kinds, "eval", _COEFFS, _cmd_ncf_eval, help="evaluate a coefficient list, e.g. 4,2")
+    leaf(kinds, "expand", _VALUE, _cmd_ncf_expand, help="expand a rational > 1, e.g. 7/2")
 
     return parser
 
@@ -316,13 +356,11 @@ def _error_output(exc: Exception, fmt: str) -> tuple[int, str, str]:
 def _error_format(argv: Sequence[str]) -> str:
     """`--format` as argparse reads it off a command line it refused (the last one
     given, `--format=` and abbreviations, nothing after `--`); the default if
-    the format itself is refused.  Its one-flag parser is declared from the spec
-    `flags` uses, so another malformed flag, such as `--cache` with no path, does
-    not hide the format."""
-    flags = _Parser(add_help=False)
-    flags.add_argument("--format", **_FORMAT)
+    the format itself is refused.  It is read through `_FORMAT_ONLY`, a spec of
+    that one flag, so another malformed flag, such as `--cache` with no path,
+    does not hide the format."""
     try:
-        return flags.parse_known_args(list(argv))[0].format
+        return _FORMAT_ONLY.parse_known_args(list(argv))[0].format
     except ValidationError:
         return _FORMAT["default"]
 

@@ -1,6 +1,7 @@
 """Parser round-trips, CLI output formats, exit codes and the cache."""
 
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -511,11 +512,12 @@ def test_cli_validation_errors_and_exit_codes(capsys):
     assert status == 0 and json.loads(out)["value"] == "24998"  # (n - 9) / 4 at V_0 = 1
     # argparse refuses a line without a command or subcommand, naming what is missing,
     # and reads the format off the refused line.
-    for argv, missing in (([], "COMMAND"), (["bound"], "KIND"), (["ncf"], "OP")):
+    for argv, missing in (([], "COMMAND"), (["bound"], "KIND"), (["ncf"], "OP"), (["examples"], "NAME")):
         assert run(argv) == (2, "", f"error (validation): the following arguments are required: {missing}\n")
+    # A shared flag before the subcommand is refused by name; the error still follows it.
     status, out, err = run(["examples", "--format=json"])
     assert (status, err) == (2, "")
-    message = "the following arguments are required: NAME"
+    message = "argument --format: put it after the subcommand"
     assert json.loads(out) == {"error": {"kind": "validation", "message": message}}
     status, _, _ = run(["nonsense"])
     assert status == 2
@@ -895,3 +897,100 @@ def test_every_parser_is_named_by_its_path_and_every_group_answers_h(capsys):
     for path in groups:
         assert cli.main([*path, "-h"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: {' '.join(('knotwind', *path))} [-h] ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--format", "json", "vseq", "T(2,3)"], "--format"),
+        (["--format=json", "vseq", "T(2,3)"], "--format"),
+        (["bound", "--format", "json", "winding", "T(2,3)"], "--format"),
+        (["bound", "--form", "json", "shake", "T(2,3)"], "--format"),
+        (["--no-cache", "vseq", "T(2,3)"], "--no-cache"),
+        (["ncf", "--no-cache", "eval", "4,2"], "--no-cache"),
+        (["--cache", "CACHE", "vseq", "T(2,3)"], "--cache"),
+        (["seifert", "--cache", "CACHE", "kn", "--n", "1"], "--cache"),
+    ],
+    ids=" ".join,
+)
+def test_cli_refuses_a_shared_flag_before_its_subcommand_by_name(argv, flag, tmp_path):
+    # The root and the groups name the misplaced flag, instead of reading its value as
+    # the subcommand; the error still follows --format, and no cache file is touched.
+    cache = tmp_path / "cache.json"
+    argv = [str(cache) if word == "CACHE" else word for word in argv]
+    message = f"argument {flag}: put it after the subcommand"
+    if "json" in argv or "--format=json" in argv:
+        status, out, err = run(argv)
+        assert (status, err) == (2, "")
+        assert json.loads(out) == {"error": {"kind": "validation", "message": message}}
+    else:
+        assert run(argv) == (2, "", f"error (validation): {message}\n")
+    assert not cache.exists()
+
+
+def test_cli_root_hands_the_shared_flags_after_the_subcommand_to_the_leaf(capsys):
+    doc = json.loads(run_ok(["vseq", "--format", "json", "--", "-T(2,3)"]))
+    assert (doc["inputs"], doc["value"]) == ({"expr": "-T(2,3)"}, [0, 0])
+    # The flags the root and the groups refuse are not listed in their help.
+    for path, usage in (((), "usage: knotwind [-h] [--version] COMMAND ...\n"),
+                        (("bound",), "usage: knotwind bound [-h] KIND ...\n")):
+        assert cli.main([*path, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(usage)
+        assert "--format" not in out and "--cache" not in out
+
+
+def test_expr_is_declared_once_and_shared_by_its_leaves():
+    leaves = {path: parser for path, parser in _parsers(cli.build_parser())}
+    exprs = [
+        next(action for action in leaves[path]._actions if action.dest == "expr")
+        for path in (("vseq",), ("dinv",), ("bound", "winding"), ("bound", "shake"))
+    ]
+    assert all(action is exprs[0] for action in exprs)
+    assert exprs[0].help == "knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'"
+
+
+def test_building_and_parsing_leave_every_spec_unchanged():
+    specs = {name: spec for name, spec in vars(cli).items() if isinstance(spec, cli._Parser)}
+    before = {name: list(spec._actions) for name, spec in specs.items()}
+    groups = {name: len(spec._mutually_exclusive_groups) for name, spec in specs.items()}
+    lines = [
+        ["vseq", "T(2,3)"],
+        ["dinv", "T(2,3)", "--n", "3", "--i", "1", "--format", "json"],
+        ["bound", "essential", "--w", "2", "--dtable", "d.json", "--no-cache"],
+        ["examples", "kn", "--n", "1", "--cache", "c.json"],
+        ["ncf", "expand", "7/2", "--format", "csv"],
+    ]
+    for k in range(1000):
+        cli.build_parser().parse_args(lines[k % len(lines)])
+    for name, spec in specs.items():
+        assert len(spec._actions) == len(before[name]), name
+        assert all(a is b for a, b in zip(spec._actions, before[name])), name
+        assert len(spec._mutually_exclusive_groups) == groups[name], name
+    # The mutually exclusive group comes through `parents=` too, on every build.
+    message = "argument --all: not allowed with argument --i"
+    for _ in range(3):
+        assert run(["dinv", "T(2,3)", "--n", "3", "--i", "1", "--all"]) == (2, "", f"error (validation): {message}\n")
+
+
+def test_cli_run_is_safe_for_concurrent_use(tmp_path, monkeypatch):
+    # Every thread's parsers name the same specs: 8 threads give the outputs a serial run does.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    workloads.write_dtables(Path(workloads.DTABLE_DIR))
+    argvs = [
+        list(workloads.cli_argv(words, expr, fmt, None))
+        for words, expr in workloads.cli_universe()[::2] for fmt in ("json", "table")
+    ]
+    serial = [run(argv) for argv in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-build and mid-parse
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(run, argvs, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert all(status == 0 for status, _, _ in serial)
