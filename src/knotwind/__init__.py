@@ -34,7 +34,6 @@ from .complexes import (
     v_at,
     v_invariant,
     v_memo,
-    v_route,
     v_sequence,
 )
 from .errors import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import A_SEMIGROUP, A_TOWER, complex_of, v_at, v_invariant, v_route
+from .complexes import A_SEMIGROUP, A_TOWER, complex_of, v_invariant, v_sequence
 from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import KnotExpression, TorusKnot, as_expression
 from .semigroup import diamond_reduce, semigroup_from_pair
@@ -79,9 +79,9 @@ def _even_minimum(bound: int) -> tuple[int, int]:
 
 def _v0_pair(expr: KnotExpression) -> tuple[int, int, str, str, tuple[TrailEntry, ...]]:
     """V_0(K), V_0(-K), the anchors of their routes, and the mixed-sum trail entry (if any)."""
-    mirrored = expr.mirror()
     mixed = (TrailEntry("validation status", "mixed-orientation sum", A_MIXED),) if expr.is_mixed else ()
-    return v_at(expr, 0), v_at(mirrored, 0), v_route(expr)[1], v_route(mirrored)[1], mixed
+    seq, seq_m = v_sequence(expr), v_sequence(expr.mirror())
+    return seq.at(0), seq_m.at(0), seq.anchor, seq_m.anchor, mixed
 
 
 def winding_bound_via_zero_surgery(knot: KnotExpression | TorusKnot) -> BoundReport:

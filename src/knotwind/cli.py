@@ -37,7 +37,7 @@ from .bounds import (
     winding_bound_via_zero_surgery,
 )
 from .cache import CACHE_ENV, cache_load, cache_store, verified_entries
-from .complexes import v_memo, v_route, v_sequence
+from .complexes import v_memo, v_sequence
 from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import parse_knot_expr
 from .surgery import _check_term_count, correction_table, d_positive_surgery, kn_seifert, ncf_eval, ncf_expand
@@ -111,11 +111,11 @@ _FORMAT = {"choices": ("table", "json", "csv"), "default": "table", "help": "out
 
 
 class _Misplaced(argparse.Action):
-    """A shared flag before the subcommand, which only the leaves declare: refused
-    by name, where argparse would read it as unknown and its value as the subcommand."""
+    """Every leaf flag before the subcommand, in one action so a build copies one per parser:
+    refused by the name it matched, not read as unknown or as another flag's prefix."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        raise argparse.ArgumentError(self, "put it after the subcommand")
+        raise argparse.ArgumentError(None, f"argument {option_string}: put it after the subcommand")
 
 
 def _spec(*parents: _Parser, add_help: bool = False) -> _Parser:
@@ -137,14 +137,6 @@ _SHARED.add_argument(
     help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
 )
 _SHARED.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
-
-# The root and the groups know the shared flags only to refuse them, and list none.
-_MISPLACED = _spec(_HELP)
-for _flag in ("--format", "--cache", "--no-cache"):
-    _MISPLACED.add_argument(_flag, nargs="?", action=_Misplaced, help=argparse.SUPPRESS)
-
-_ROOT = _spec(_MISPLACED)
-_ROOT.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
 _EXPR = _spec(_SHARED)
 _EXPR.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
@@ -168,6 +160,15 @@ _COEFFS.add_argument("coeffs")
 _VALUE = _spec(_SHARED)
 _VALUE.add_argument("value")
 
+# The root and the groups refuse each leaf flag by its exact name, which beats a prefix, and list none.
+_MISPLACED = _spec(_HELP)
+_LEAF_FLAGS = dict.fromkeys(f for spec in (_DINV, _ESSENTIAL, _FAMILY) for f in spec._option_string_actions
+                            if f not in _HELP._option_string_actions)
+_MISPLACED.add_argument(*_LEAF_FLAGS, nargs="?", action=_Misplaced, help=argparse.SUPPRESS)
+
+_ROOT = _spec(_MISPLACED)
+_ROOT.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+
 # What `_error_format` reads off a refused line: a malformed `--cache` cannot hide it.
 _FORMAT_ONLY = _spec()
 _FORMAT_ONLY.add_argument("--format", **_FORMAT)
@@ -178,7 +179,7 @@ def build_parser() -> _Parser:
     Each of its parsers names one argument spec (`parents=`): the leaves the
     shared flags, `-h` included, with their own arguments after them, so a
     leaf's --help lists the shared flags first; the root and the groups `-h`
-    and the shared flags they refuse.  A leaf's handler and its document's
+    and the leaves' flags they refuse.  A leaf's handler and its document's
     command name, read off its parser path, are its defaults.  Each subcommand
     level is required, so argparse refuses a line without one, and is given
     its parser's prog, which argparse would otherwise derive by formatting a
@@ -221,10 +222,9 @@ def build_parser() -> _Parser:
 
 def _cmd_vseq(args) -> BoundReport:
     expr = parse_knot_expr(args.expr)
-    values = list(v_sequence(expr).values)
-    route, anchor = v_route(expr)
-    trail = (TrailEntry("path", route, anchor), TrailEntry("genus", expr.genus, A_GENUS))
-    return BoundReport(values, None, {"expr": str(expr)}, trail)
+    seq = v_sequence(expr)
+    trail = (TrailEntry("path", seq.route, seq.anchor), TrailEntry("genus", expr.genus, A_GENUS))
+    return BoundReport(list(seq.values), None, {"expr": str(expr)}, trail)
 
 
 def _cmd_dinv(args) -> BoundReport:

@@ -227,10 +227,9 @@ from typing import Iterator, Mapping
 from .errors import InternalCheckError, TruncationInstabilityError, ValidationError, exact_int
 from .gf2 import BitSpace
 from .knots import KnotExpression, TorusKnot, as_expression
-from .semigroup import VSequence, semigroup_from_pair, v_sequence_torus
+from .semigroup import A_SEMIGROUP, SEMIGROUP_ROUTE, VSequence, semigroup_from_pair, v_sequence_torus
 
-# Trail anchors of the two V routes: the identities the values are read off from.
-A_SEMIGROUP = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
+# Trail anchor of the homology route (`A_SEMIGROUP` is the semigroup route's).
 A_TOWER = "V_s = -(top grading of the U-tower of A_s^-)/2"
 
 _GRADINGS = "generator gradings must be integers"
@@ -766,55 +765,49 @@ def v_memo(entries: Mapping[str, list[int]]) -> Iterator[dict[str, list[int]]]:
         _memo.reset(token)
 
 
-def _servable(expr: KnotExpression, values: list[int]) -> VSequence | None:
-    """`values` if they have the shape `v_sequence` returns for `expr`: V_0..V_g
+def _servable(expr: KnotExpression, values: list[int], route: str, anchor: str) -> VSequence | None:
+    """`values` on `route` if they have the shape `v_sequence` returns for `expr`: V_0..V_g
     ending in V_g = 0 for genus g, nothing for the unknot.  Else None (recompute)."""
     try:
-        seq = VSequence(tuple(values))
+        seq = VSequence(tuple(values), route, anchor)
     except (ValidationError, TypeError):
         return None
     length = expr.genus + 1 if expr.summands else 0
     return seq if len(seq) == length and not any(seq.values[-1:]) else None
 
 
-def v_route(expr: KnotExpression | TorusKnot) -> tuple[str, str]:
-    """Route `v_sequence` and `v_at` take for an expression, and its trail anchor."""
-    expr = as_expression(expr)
-    if expr.single_positive_torus_knot():
-        return "semigroup count", A_SEMIGROUP
-    if expr.is_unknot:
-        return "unknot", A_TOWER
-    return "staircase homology", A_TOWER
-
-
-def _homology_sequence(expr: KnotExpression) -> VSequence:
+def _homology_sequence(expr: KnotExpression, route: str = "", anchor: str = "") -> VSequence:
     """V_0..V_g of an expression other than the unknot, off one sweep of its complex, checked
-    for V_g = 0 and monotonicity."""
+    for V_g = 0 and monotonicity, on `route` (none for a cross-check)."""
     values = tuple(_v_values(complex_of(expr), 0, expr.genus))
     if values[-1]:
         raise InternalCheckError(f"tower normalisation broken: V_{expr.genus} = {values[-1]}, not 0")
     try:
-        return VSequence(values)
+        return VSequence(values, route, anchor)
     except ValidationError as exc:
         raise InternalCheckError(f"computed V-values violate monotonicity: {exc}") from exc
 
 
 def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
-    """V-sequence of an expression.
+    """V-sequence of an expression, carrying the route it took and that route's anchor.
 
-    Single positive torus knots take the semigroup fast path; everything else
-    goes through the chain complex, every sublevel from one sweep, and must
-    end in V_g = 0.  Where both paths apply they are compared (small genus).
-    A servable entry of the current `v_memo` is returned as it is, and a
-    computed sequence is stored there.
+    The route is chosen from the expression once: a single positive torus knot takes the
+    semigroup count, compared with homology at genus <= 12; any other sum but the unknot
+    one sweep of its chain complex, which must end in V_g = 0.  A servable entry of the
+    current `v_memo` is returned on that route; a computed one is stored there as a list.
     """
     expr = as_expression(expr)
+    knot = expr.single_positive_torus_knot()
+    if knot is not None:
+        route, anchor = SEMIGROUP_ROUTE, A_SEMIGROUP
+    elif expr.is_unknot:
+        route, anchor = "unknot", A_TOWER
+    else:
+        route, anchor = "staircase homology", A_TOWER
     memo = _memo.get()
     values = None if memo is None else memo.get(str(expr))
-    seq = None if values is None else _servable(expr, values)
-    if seq is not None:
+    if values is not None and (seq := _servable(expr, values, route, anchor)) is not None:
         return seq
-    knot = expr.single_positive_torus_knot()
     if knot is not None:
         seq = v_sequence_torus(knot)
         if knot.genus <= 12:
@@ -825,9 +818,9 @@ def v_sequence(expr: KnotExpression | TorusKnot) -> VSequence:
                         f"semigroup {seq.at(s)}, homology {hom}"
                     )
     elif expr.is_unknot:
-        seq = VSequence(())
+        seq = VSequence((), route, anchor)
     else:
-        seq = _homology_sequence(expr)
+        seq = _homology_sequence(expr, route, anchor)
     if memo is not None:
         memo[str(expr)] = list(seq.values)
     return seq

@@ -20,7 +20,7 @@ before anything is allocated (2-vCPU VM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -29,6 +29,10 @@ from .errors import ValidationError, exact_int
 from .knots import KnotExpression, TorusKnot
 
 _CONDUCTOR_LIMIT = 10**6
+
+# The route of `v_sequence_torus`, and its trail anchor: the identity its V-values are read off from.
+SEMIGROUP_ROUTE = "semigroup count"
+A_SEMIGROUP = "V_i(T(p,q)) = card(Gamma(p,q) intersect [0, g-i))"
 
 
 class NumericalSemigroup:
@@ -78,9 +82,12 @@ def semigroup_from_pair(p: int, q: int) -> NumericalSemigroup:
 
 @dataclass(frozen=True, slots=True)
 class VSequence:
-    """Non-increasing non-negative integers; entries beyond the list are 0."""
+    """Non-increasing non-negative integers; entries beyond the list are 0.  `route` names
+    how they were computed and `anchor` the identity read off; equality ignores both."""
 
     values: tuple[int, ...]
+    route: str = field(default="", compare=False)
+    anchor: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         vals = tuple(exact_int(v, "V-values must be integers") for v in self.values)
@@ -126,7 +133,7 @@ def multiplicity_sequence(knot: TorusKnot) -> tuple[int, ...]:
 def v_sequence_torus(knot: TorusKnot) -> VSequence:
     """V_i(T(p,q)) for i = 0..g: the running counts of the membership table below g, reversed."""
     membership = semigroup_from_pair(knot.p, knot.q).membership
-    return VSequence((0, *accumulate(membership[: knot.genus]))[::-1])
+    return VSequence((0, *accumulate(membership[: knot.genus]))[::-1], SEMIGROUP_ROUTE, A_SEMIGROUP)
 
 
 _V0_CLOSED_FORMS = {

@@ -746,6 +746,24 @@ def test_cached_and_uncached_outputs_agree_on_any_cache_file(tmp_path_factory, e
         assert cached == plain, words
 
 
+@given(small_sums)
+@example(KnotExpression.unknot())
+@example(parse_knot_expr("T(5,9)"))  # a positive torus knot above genus 12
+def test_every_route_anchor_is_printed_as_the_engine_reports_it(tmp_path_factory, expr):
+    seq, seq_m = v_sequence(expr), v_sequence(expr.mirror())
+    cache = str(tmp_path_factory.mktemp("cache") / "cache.json")
+    # Without a cache, then against a cache file that starts absent and is warm the second time.
+    for flags in (["--no-cache"], ["--cache", cache], ["--cache", cache]):
+        doc = json.loads(run_ok(["vseq", "--format", "json", *flags, "--", str(expr)]))
+        assert doc["trail"][0] == {"name": "path", "value": seq.route, "anchor": seq.anchor}
+        for kind, knot in (("winding", "J"), ("shake", "K")):
+            doc = json.loads(run_ok(["bound", kind, "--format", "json", *flags, "--", str(expr)]))
+            anchors = {entry["name"]: entry["anchor"] for entry in doc["trail"]}
+            assert (anchors[f"V_0({knot})"], anchors[f"V_0(-{knot})"]) == (seq.anchor, seq_m.anchor)
+    if expr.single_positive_torus_knot():
+        assert str(expr) in cache_load(cache)
+
+
 def test_cli_bound_winding_serves_no_stale_mixed_sum(tmp_path):
     # A stale mixed sum beside a correct positive sum: the winding bound B = V_0(J) + V_0(-J).
     entries = {"T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0]}
@@ -910,6 +928,8 @@ def test_every_parser_is_named_by_its_path_and_every_group_answers_h(capsys):
         (["ncf", "--no-cache", "eval", "4,2"], "--no-cache"),
         (["--cache", "CACHE", "vseq", "T(2,3)"], "--cache"),
         (["seifert", "--cache", "CACHE", "kn", "--n", "1"], "--cache"),
+        (["--n", "3", "dinv", "--format", "json", "--", "T(2,3)"], "--n"),
+        (["bound", "--w", "2", "essential"], "--w"),
     ],
     ids=" ".join,
 )

@@ -27,11 +27,11 @@ from knotwind import (
     v_at,
     v_invariant,
     v_memo,
-    v_route,
     v_sequence,
     v_sequence_torus,
 )
 from knotwind.cli import run
+from knotwind.complexes import A_SEMIGROUP, A_TOWER
 
 TREFOIL = TorusKnot(2, 3)
 
@@ -184,9 +184,9 @@ def test_v_sequence_dispatch_and_examples():
     assert v_sequence(parse_knot_expr("T(3,7) # T(3,7)")).at(0) == 4
     assert list(v_sequence(parse_knot_expr("-T(6,7)"))) == [0] * 16
     assert list(v_sequence(parse_knot_expr("U"))) == []
-    assert v_route(parse_knot_expr("T(6,7)"))[0] == "semigroup count"
-    assert v_route(parse_knot_expr("-T(6,7)"))[0] == "staircase homology"
-    assert v_route(parse_knot_expr("U"))[0] == "unknot"
+    assert v_sequence(parse_knot_expr("T(6,7)")).route == "semigroup count"
+    assert v_sequence(parse_knot_expr("-T(6,7)")).route == "staircase homology"
+    assert v_sequence(parse_knot_expr("U")).route == "unknot"
 
 
 def test_v_at_torus_knot_is_cross_checked(monkeypatch):
@@ -203,6 +203,25 @@ def test_v_at_fills_the_memo():
         assert v_at(KnotExpression.unknot(), 0) == 0
         assert v_at(parse_knot_expr("-T(2,5)"), 0) == 0
     assert memo == {"T(2,5)": [1, 1, 0], "U": [], "-T(2,5)": [0, 0, 0]}
+
+
+@pytest.mark.parametrize("text, route, anchor", [
+    ("T(2,3)", "semigroup count", A_SEMIGROUP),
+    ("T(5,9)", "semigroup count", A_SEMIGROUP),  # genus 16: no homology comparison
+    ("U", "unknot", A_TOWER),
+    ("T(2,5) # -T(2,3)", "staircase homology", A_TOWER),
+])
+def test_v_sequence_names_its_route_computed_and_served_from_the_memo(text, route, anchor):
+    expr = parse_knot_expr(text)
+    computed = v_sequence(expr)
+    # A memo entry of the right shape is served as it is, wrong values included, so
+    # the zeros below can only come from the memo.
+    with v_memo({str(expr): [0] * len(computed)}) as memo:
+        served = v_sequence(expr)
+    assert list(served) == memo[str(expr)] == [0] * len(computed)
+    assert served == VSequence(served.values, "another route", "another anchor")
+    for seq in (computed, served):
+        assert (seq.route, seq.anchor) == (route, anchor)
 
 
 def test_memo_entries_nonzero_at_the_genus_are_recomputed():
