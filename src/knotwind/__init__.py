@@ -11,6 +11,10 @@ geometric winding number and the 0-shake genus.
 
 __version__ = "0.1.0"
 
+# `$KNOTWIND_CACHE` named the CLI's V-sequence cache file, which is gone; the CLI ignores
+# it, and the name stays for scripts that set or clear it.
+CACHE_ENV = "KNOTWIND_CACHE"
+
 from .bounds import (
     BoundReport,
     EssentialInput,
@@ -23,7 +27,6 @@ from .bounds import (
     shake_bound,
     winding_bound_via_zero_surgery,
 )
-from .cache import CACHE_ENV, cache_load, cache_store
 from .complexes import (
     BifilteredComplex,
     TruncatedComplex,

@@ -1,4 +1,4 @@
-"""Command-line front end with JSON/CSV/table output and the V-sequence cache.
+"""Command-line front end with JSON/CSV/table output.
 
 Every command renders one structured document:
 
@@ -18,14 +18,13 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
+from . import CACHE_ENV, __version__
 from .bounds import (
     BoundReport,
     EssentialInput,
@@ -36,7 +35,6 @@ from .bounds import (
     shake_bound,
     winding_bound_via_zero_surgery,
 )
-from .cache import CACHE_ENV, cache_load, cache_store, verified_entries
 from .complexes import v_memo, v_sequence
 from .errors import InternalCheckError, ValidationError, decimal_int, exact_int, exact_rational
 from .knots import parse_knot_expr
@@ -131,12 +129,9 @@ _HELP = _spec(add_help=True)  # `-h`/`--help`, as argparse declares it
 # The flags every command takes, with their defaults; `--help` of a leaf lists them first.
 _SHARED = _spec(_HELP)
 _SHARED.add_argument("--format", **_FORMAT)
-_SHARED.add_argument(
-    "--cache",
-    metavar="PATH",
-    help=f"V-sequence cache file of positive torus knots (default: ${CACHE_ENV} if set)",
-)
-_SHARED.add_argument("--no-cache", action="store_true", help="disable the cache entirely (no file access)")
+# Accepted for command lines written when the CLI had a V-sequence cache, and ignored.
+_SHARED.add_argument("--cache", metavar="PATH", help=f"ignored, as is ${CACHE_ENV}: every command computes afresh")
+_SHARED.add_argument("--no-cache", action="store_true", help="ignored: there is no cache")
 
 _EXPR = _spec(_SHARED)
 _EXPR.add_argument("expr", help="knot expression, e.g. 'T(2,3) # -T(4,5)' or 'U'")
@@ -373,16 +368,9 @@ def run(argv: Sequence[str]) -> tuple[int, str, str]:
     except ValidationError as exc:
         return _error_output(exc, _error_format(argv))
     fmt = args.format
-    cache_path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV)
-    try:  # loading the cache can exhaust memory too
-        served = verified_entries(cache_load(cache_path)) if cache_path else {}
-        with v_memo(served) as memo:
-            output = render_document(_report_doc(args.command, args.handler(args)), fmt)
-            if cache_path:
-                stored = verified_entries(memo)
-                if stored != served:
-                    cache_store(cache_path, stored)
-            return 0, output, ""
+    try:
+        with v_memo({}):  # each V-sequence once per command: a bound may ask for it twice
+            return 0, render_document(_report_doc(args.command, args.handler(args)), fmt), ""
     except (ValidationError, InternalCheckError, MemoryError, RecursionError, OverflowError) as exc:
         return _error_output(exc, fmt)
 

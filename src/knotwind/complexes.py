@@ -714,7 +714,7 @@ def complex_of(expr: KnotExpression | TorusKnot) -> BifilteredComplex:
     The parts are folded raw, and only the result is constructed, so every law
     is checked once, on the complex the engine uses.  A complex of more than
     `_GENERATOR_LIMIT` generators, by `_generator_count`, is rejected before any
-    part is built; the cache applies the same count to the entries it loads.
+    part is built.
     """
     expr = as_expression(expr)
     _check_size(_generator_count(expr))

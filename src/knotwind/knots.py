@@ -4,7 +4,7 @@ A ``KnotExpression`` is the universal knot input of the package: a finite
 multiset of positive torus knots, each carrying an orientation sign
 (+1 for T(p,q), -1 for its mirror -T(p,q)).  The empty expression is the
 unknot.  Expressions are kept in a canonical sorted form so that equal
-knots have equal string representations (used as cache keys).
+knots have equal string representations (used as memo keys).
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
-"""Parser round-trips, CLI output formats, exit codes and the cache."""
+"""Parser round-trips, CLI output formats, exit codes and the ignored cache flags."""
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
-import os
 import re
-import subprocess
 import sys
 import threading
-import warnings
 from pathlib import Path
 
 import pytest
@@ -16,14 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotwind import (
+    CACHE_ENV,
     KnotExpression,
     TorusKnot,
     ValidationError,
-    cache_load,
-    cache_store,
     ncf_eval,
     parse_knot_expr,
-    v_memo,
     v_sequence,
 )
 from knotwind import __version__
@@ -526,219 +522,49 @@ def test_cli_validation_errors_and_exit_codes(capsys):
     assert capsys.readouterr().out == f"knotwind {__version__}\n"
 
 
-def test_cache_store_load_round_trip(tmp_path):
-    path = tmp_path / "cache.json"
-    entries = {"T(2,3)": [1, 0], "T(4,5)": [3, 2, 1, 1, 1, 1, 0]}
-    assert cache_store(path, entries)
-    assert cache_load(path) == entries
-    first = path.read_bytes()
-    assert cache_store(path, cache_load(path))
-    assert path.read_bytes() == first
+def test_cli_cached_and_uncached_outputs_identical(tmp_path, monkeypatch):
+    # --cache, --no-cache and $KNOTWIND_CACHE are accepted and ignored: every command line
+    # of the benchmark's universe prints with --cache FILE what it prints with --no-cache,
+    # and no file appears, nor is an existing one changed.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
 
-
-def test_cache_rejects_version_mismatch_and_corruption(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": "0.0.0", "entries": {"T(2,3)": [1, 0]}}))
-    assert cache_load(path) == {}
-    path.write_text("{not json")
-    with pytest.warns(RuntimeWarning):
-        assert cache_load(path) == {}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": "bad"}}))
-    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,3\)'"):
-        assert cache_load(path) == {}
-    # A key that does not parse is malformed too, not a stale V-sequence.
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,4)": [1, 0], "T(2,3)": [1, 0]}}))
-    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,4\)'"):
-        assert cache_load(path) == {}
-    # So is a key with more digits than int() converts.
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {f"T(2,{LONG_EVEN})": [1, 0]}}))
-    with pytest.warns(RuntimeWarning, match=r"malformed entry 'T\(2,4"):
-        assert cache_load(path) == {}
-
-
-def test_cache_spot_check_catches_stale_values(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}}))
-    with pytest.warns(RuntimeWarning):
-        assert cache_load(path) == {}
-
-
-def test_cache_spot_check_runs_under_optimize(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}}))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import json, sys; from knotwind import cache_load; print(json.dumps(cache_load(sys.argv[1])))"
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code, str(path)],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert json.loads(done.stdout) == {}
-    assert "stale" in done.stderr
-
-
-def test_cache_spot_check_skips_the_unknot(tmp_path):
-    path = tmp_path / "cache.json"
-    stale = {"U": [], "T(2,5)": [2, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
-    with pytest.warns(RuntimeWarning, match="stale"):
-        out = run_ok(["vseq", "T(2,5)", "--format", "json", "--cache", str(path)])
-    assert json.loads(out)["value"] == [1, 1, 0]
-    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": {"U": []}}))
-    assert cache_load(path) == {"U": []}
-
-
-def test_cache_spot_check_compares_every_torus_knot(tmp_path):
-    path = tmp_path / "cache.json"
-    stale = {"T(2,3)": [1, 0], "T(2,5)": [2, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
-    with pytest.warns(RuntimeWarning, match="stale"):
-        out = run_ok(["vseq", "T(2,5)", "--format", "json", "--cache", str(path)])
-    assert json.loads(out)["value"] == [1, 1, 0]
-    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
-
-
-@pytest.mark.parametrize(
-    "entries, value",
-    [
-        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [2, 1, 0]}, "1 1 0"),
-        ({"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}, "0 0 0 0"),
-        ({"-T(2,25)": [0] * 13, "T(2,3) # -T(2,3)": [1, 1, 0]}, "0 0 0"),
-    ],
-    ids=["positive-sum", "genus-45-mirror", "one-summand-mirror"],
-)
-def test_cache_serves_no_entry_off_the_semigroup_route(tmp_path, entries, value):
-    # Load checks only positive torus knots, so a stale sum or mirror loads without a
-    # warning, is computed afresh and is not written back: the file stays as it was.
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    expr = list(entries)[1]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = run_ok(["vseq", expr, "--cache", str(path)])
-    assert caught == []
-    assert f"value: {value}" in out.splitlines()
-    assert cache_load(path) == entries
-
-
-def test_cache_writes_back_only_canonical_keys(tmp_path):
-    # Both entries are right and load, but v_sequence looks its memo up by the
-    # canonical string, so neither key could be served, and neither is written back.
-    path = tmp_path / "cache.json"
-    entries = {"T(3,2)": [1, 0], "t(2, 5)": [1, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    assert cache_load(path) == entries
-    run_ok(["vseq", "T(2,3)", "--cache", str(path)])
-    assert json.loads(path.read_text())["entries"] == {"T(2,3)": [1, 0]}
-
-
-def test_cache_checks_no_key_it_cannot_serve(tmp_path):
-    # "T(3,2)" is not canonical, so it is never served: its wrong value is not
-    # compared, and the correct canonical entry beside it still loads and is served.
-    path = tmp_path / "cache.json"
-    entries = {"T(2,3)": [1, 0], "T(3,2)": [5, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cache_load(path) == entries
-        out = run_ok(["vseq", "T(2,3)", "--cache", str(path)])
-    assert caught == []
-    assert "value: 1 0" in out.splitlines()
-
-
-def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
-    stale = {"T(2,5)": [2, 1, 0]}
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": stale}))
-    with v_memo(stale) as memo:
-        with pytest.warns(RuntimeWarning, match="stale"):
-            assert cache_load(path) == {}
-    assert memo == stale  # the semigroup count reads no memo
-
-
-def _forbid_complexes(monkeypatch):
-    from knotwind import complexes
-
-    def build(expr):
-        raise AssertionError(f"the complex of {expr} was built")
-
-    monkeypatch.setattr(complexes, "complex_of", build)
-
-
-def test_cache_spot_check_recomputes_nothing_above_its_generator_limit(tmp_path, monkeypatch):
-    # The load has no generator limit any more: it recomputes no sum or mirror, of any
-    # size, and serves none of them, so stale ones load as they are.
-    seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
-    assert parse_knot_expr(seven).single_positive_torus_knot() is None
-    entries = {
-        "T(2,3)": [1, 0], "U": [], "-T(2,3)": [0, 0],
-        "T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0], seven: [0],
-    }
-    _forbid_complexes(monkeypatch)
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    assert cache_load(path) == entries
-
-
-def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):
-    _forbid_complexes(monkeypatch)
-    path = tmp_path / "cache.json"
-    entries = {"T(2,3)": [1, 0], "T(2,5)": [1, 1, 0]}
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    assert cache_load(path) == entries
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [{"T(30001,30002)": [0]}, {"T(2,3001) # -T(2,3001)": [0] * 3001}],
-    ids=["conductor-above-10^6", "9006001-generators"],
-)
-def test_cache_entries_the_engine_refuses_are_malformed(tmp_path, entries):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    key = re.escape(repr(list(entries)[0]))
-    with pytest.warns(RuntimeWarning, match=f"malformed entry {key}"):
-        assert cache_load(path) == {}
-    with pytest.warns(RuntimeWarning, match=f"malformed entry {key}"):
-        status, out, err = run(["ncf", "eval", "4,2", "--cache", str(path), "--format", "json"])
-    assert (status, json.loads(out)["value"], err) == (0, "7/2", "")
-
-
-def test_cli_cached_and_uncached_outputs_identical(tmp_path):
-    path = tmp_path / "cache.json"
-    plain = run_ok(["vseq", "T(3,4)", "--format", "json", "--no-cache"])
-    first = run_ok(["vseq", "T(3,4)", "--format", "json", "--cache", str(path)])
-    assert path.exists()
-    stored = json.loads(path.read_text())
-    assert stored["tool_version"] == __version__
-    assert stored["entries"]["T(3,4)"] == [1, 1, 1, 0]
-    second = run_ok(["vseq", "T(3,4)", "--format", "json", "--cache", str(path)])
-    assert plain == first == second
+    monkeypatch.chdir(tmp_path)
+    workloads.write_dtables(Path(workloads.DTABLE_DIR))
+    path = tmp_path / "c.json"
+    lines = [(words, expr, fmt) for words, expr in workloads.cli_universe() for fmt in workloads.CLI_FORMATS]
+    plain = {}
+    for words, expr, fmt in lines:
+        plain[words, expr, fmt] = run(list(workloads.cli_argv(words, expr, fmt, None)))
+        assert run(list(workloads.cli_argv(words, expr, fmt, str(path)))) == plain[words, expr, fmt]
+    assert not path.exists()
+    # A sample again, with the variable naming a file and --cache naming one of arbitrary content.
+    env_path = tmp_path / "env.json"
+    monkeypatch.setenv(CACHE_ENV, str(env_path))
+    content = b'{"tool_version": "0.1.0", "entries": {"T(2,3)": [5, 0], "U": [1]}}\n\xff'
+    path.write_bytes(content)
+    for words, expr, fmt in lines[::17]:
+        tail = ("--", expr) if expr else ()
+        for flags in ((), ("--no-cache",), ("--cache", str(path))):
+            assert run([*words, "--format", fmt, *flags, *tail]) == plain[words, expr, fmt], flags
+    assert path.read_bytes() == content
+    assert not env_path.exists()
 
 
 def _cached_and_uncached(path, entries, words, expr):
     """(status, stdout, stderr) of a json command on `expr` with a cache file holding `entries`,
-    and with --no-cache."""
+    and with --no-cache; the file is left as it was."""
     path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # a stale torus knot discards the file
-        cached = run([*words, "--format", "json", "--cache", str(path), "--", expr])
+    content = path.read_bytes()
+    cached = run([*words, "--format", "json", "--cache", str(path), "--", expr])
+    assert path.read_bytes() == content
     return cached, run([*words, "--format", "json", "--no-cache", "--", expr])
 
 
 @given(small_sums, st.data())
 def test_cached_and_uncached_outputs_agree_on_any_cache_file(tmp_path_factory, expr, data):
-    # Well-formed V-lists for the expression and its mirror: the true ones, others of the
-    # shape `v_sequence` returns (steps of 0 or 1 down to V_g = 0), and any at all.
-    def v_list(key):
-        steps = st.lists(st.integers(0, 1), min_size=key.genus, max_size=key.genus)
-        return data.draw(st.one_of(
-            st.just(list(v_sequence(key).values)),
-            steps.map(lambda s: [sum(s[i:]) for i in range(len(s) + 1)]),
-            st.lists(st.integers(0, 9), max_size=key.genus + 2),
-        ))
-
-    entries = {str(expr): v_list(expr), str(-expr): v_list(-expr)}
+    values = st.lists(st.integers(0, 9), max_size=expr.genus + 2)
+    entries = {str(expr): data.draw(values), str(-expr): data.draw(values)}
     n = data.draw(st.integers(1, 2 * expr.genus + 3))
     path = tmp_path_factory.mktemp("cache") / "cache.json"
     for words in (["vseq"], ["bound", "winding"], ["dinv", "--n", str(n), "--all"]):
@@ -749,19 +575,14 @@ def test_cached_and_uncached_outputs_agree_on_any_cache_file(tmp_path_factory, e
 @given(small_sums)
 @example(KnotExpression.unknot())
 @example(parse_knot_expr("T(5,9)"))  # a positive torus knot above genus 12
-def test_every_route_anchor_is_printed_as_the_engine_reports_it(tmp_path_factory, expr):
+def test_every_route_anchor_is_printed_as_the_engine_reports_it(expr):
     seq, seq_m = v_sequence(expr), v_sequence(expr.mirror())
-    cache = str(tmp_path_factory.mktemp("cache") / "cache.json")
-    # Without a cache, then against a cache file that starts absent and is warm the second time.
-    for flags in (["--no-cache"], ["--cache", cache], ["--cache", cache]):
-        doc = json.loads(run_ok(["vseq", "--format", "json", *flags, "--", str(expr)]))
-        assert doc["trail"][0] == {"name": "path", "value": seq.route, "anchor": seq.anchor}
-        for kind, knot in (("winding", "J"), ("shake", "K")):
-            doc = json.loads(run_ok(["bound", kind, "--format", "json", *flags, "--", str(expr)]))
-            anchors = {entry["name"]: entry["anchor"] for entry in doc["trail"]}
-            assert (anchors[f"V_0({knot})"], anchors[f"V_0(-{knot})"]) == (seq.anchor, seq_m.anchor)
-    if expr.single_positive_torus_knot():
-        assert str(expr) in cache_load(cache)
+    doc = json.loads(run_ok(["vseq", "--format", "json", "--no-cache", "--", str(expr)]))
+    assert doc["trail"][0] == {"name": "path", "value": seq.route, "anchor": seq.anchor}
+    for kind, knot in (("winding", "J"), ("shake", "K")):
+        doc = json.loads(run_ok(["bound", kind, "--format", "json", "--no-cache", "--", str(expr)]))
+        anchors = {entry["name"]: entry["anchor"] for entry in doc["trail"]}
+        assert (anchors[f"V_0({knot})"], anchors[f"V_0(-{knot})"]) == (seq.anchor, seq_m.anchor)
 
 
 def test_cli_bound_winding_serves_no_stale_mixed_sum(tmp_path):
@@ -774,32 +595,28 @@ def test_cli_bound_winding_serves_no_stale_mixed_sum(tmp_path):
     assert (doc["value"], doc["induced_minimum"]) == (1, 2)
 
 
-def test_cli_bound_winding_caches_the_torus_knot(tmp_path):
-    # Only single positive torus knots are written back: not the mirror -T(2,5), and no
-    # file at all for a winding bound that reads no positive torus knot.
-    path = tmp_path / "cache.json"
-    run_ok(["bound", "winding", "T(2,5)", "--cache", str(path)])
-    assert json.loads(path.read_text())["entries"] == {"T(2,5)": [1, 1, 0]}
-    path = tmp_path / "mixed.json"
-    run_ok(["bound", "winding", "T(2,3) # -T(2,5)", "--cache", str(path)])
-    assert not path.exists()
-
-
-def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):
-    path = tmp_path / "cache.json"
+def test_cli_memo_is_invisible_to_other_threads(monkeypatch):
+    # A command paused inside v_sequence: another thread computes meanwhile, and its
+    # value does not enter the command's memo.
     waiting, release = threading.Event(), threading.Event()
-    compute = cli.v_sequence
+    compute, scope = cli.v_sequence, cli.v_memo
+    memos = []
 
     def paused(expr):
         waiting.set()
         release.wait(timeout=60)
         return compute(expr)
 
+    @contextlib.contextmanager
+    def recorded(entries):
+        with scope(entries) as memo:
+            memos.append(memo)
+            yield memo
+
     monkeypatch.setattr(cli, "v_sequence", paused)
+    monkeypatch.setattr(cli, "v_memo", recorded)
     results = []
-    worker = threading.Thread(
-        target=lambda: results.append(run(["vseq", "T(2,3)", "--cache", str(path)]))
-    )
+    worker = threading.Thread(target=lambda: results.append(run(["vseq", "T(2,3)"])))
     worker.start()
     try:
         assert waiting.wait(timeout=60)
@@ -809,28 +626,15 @@ def test_cli_memo_is_invisible_to_other_threads(tmp_path, monkeypatch):
         worker.join(timeout=60)
     assert not worker.is_alive()
     assert results[0][0] == 0
-    assert list(json.loads(path.read_text())["entries"]) == ["T(2,3)"]
+    assert memos == [{"T(2,3)": [1, 0]}]
 
 
 def test_cli_no_cache_never_touches_file(tmp_path, monkeypatch):
     path = tmp_path / "cache.json"
     monkeypatch.setenv("KNOTWIND_CACHE", str(path))
-    run_ok(["vseq", "T(2,3)", "--no-cache"])
-    assert not path.exists()
-    run_ok(["vseq", "T(2,3)"])
-    assert path.exists()  # env var supplies the default path
-
-
-def test_cli_cache_flag_overrides_the_environment(tmp_path, monkeypatch):
-    env_path, flag_path = tmp_path / "env.json", tmp_path / "flag.json"
-    monkeypatch.setenv("KNOTWIND_CACHE", str(env_path))
-    # --no-cache wins over --cache and the environment, whichever flag comes last.
-    for flags in (["--no-cache", "--cache", str(flag_path)], ["--cache", str(flag_path), "--no-cache"]):
+    for flags in (["--no-cache"], []):
         run_ok(["vseq", "T(2,3)", *flags])
-        assert not env_path.exists() and not flag_path.exists()
-    run_ok(["vseq", "T(2,3)", "--cache", str(flag_path)])
-    assert not env_path.exists()
-    assert json.loads(flag_path.read_text())["entries"] == {"T(2,3)": [1, 0]}
+        assert not path.exists()  # the variable is ignored too
 
 
 def test_cli_version_and_help():
@@ -841,46 +645,24 @@ def test_cli_version_and_help():
 
 
 @pytest.mark.parametrize(
-    "entries, argv, value",
-    [
-        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["vseq"], [1, 1, 0]),
-        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["dinv", "--n", "3"],
-         {"0": "-3/2", "1": "-13/6", "2": "-13/6"}),
-        ({"T(2,3)": [1, 0], "T(2,3) # -T(2,5)": [0]}, ["vseq"], [0, 0, 0, 0]),
-    ],
-    ids=["vseq short entry", "dinv short entry", "vseq mixed short entry"],
-)
-def test_cache_entries_without_the_v_sequence_shape_are_recomputed(tmp_path, entries, argv, value):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"tool_version": __version__, "entries": entries}))
-    expr = list(entries)[1]
-    plain = run_ok(argv + ["--format", "json", "--no-cache", "--", expr])
-    cached = run_ok(argv + ["--format", "json", "--cache", str(path), "--", expr])
-    assert cached == plain
-    assert json.loads(cached)["value"] == value
-    assert cache_load(path) == entries  # the sum is not written back
-
-
-@pytest.mark.parametrize(
     "target, error",
     [
         ("v_sequence", MemoryError()),
         ("v_sequence", RecursionError("maximum recursion depth exceeded")),
-        ("cache_load", MemoryError()),
+        ("render_document", MemoryError()),
         ("v_sequence", OverflowError("cannot fit 'int' into an index-sized integer")),
     ],
 )
-def test_resource_failures_get_an_error_document(tmp_path, monkeypatch, target, error):
+def test_resource_failures_get_an_error_document(monkeypatch, target, error):
     def exhausted(*args):
         raise error
 
     monkeypatch.setattr(cli, target, exhausted)
-    cache = ["--cache", str(tmp_path / "cache.json")]
-    status, out, err = run(["vseq", "T(2,3)", "--format", "json"] + cache)
+    status, out, err = run(["vseq", "T(2,3)", "--format", "json"])
     assert status == 1 and err == ""
     doc = json.loads(out)["error"]
     assert doc["kind"] == "resource" and doc["message"]
-    status, out, err = run(["vseq", "T(2,3)"] + cache)
+    status, out, err = run(["vseq", "T(2,3)"])
     assert (status, out) == (1, "")
     assert err == f"error (resource): {doc['message']}\n"
 

@@ -233,6 +233,30 @@ def test_memo_entries_nonzero_at_the_genus_are_recomputed():
     assert memo == {"U": [], "T(2,3)": [1, 0]}
 
 
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("T(2,3) # T(2,3)", [1]),
+        ("T(2,3) # -T(2,5)", [0]),
+        ("T(2,5)", [1, 1, 0, 0]),
+        ("T(2,3) # -T(2,5)", [2, 0, 0, 0]),
+        ("T(2,5)", [1.0, 1, 0]),
+        ("T(2,5)", 5),
+    ],
+    ids=["short positive sum", "short mixed sum", "long torus knot", "step of two", "float", "not a list"],
+)
+def test_memo_entries_without_the_v_sequence_shape_are_recomputed(text, entry):
+    # Too short or too long, a VSequence that does not construct (ValidationError) and
+    # values that are not a sequence (TypeError): each is computed afresh and replaced.
+    expr = parse_knot_expr(text)
+    values = list(v_sequence(expr))
+    reads = (lambda: list(v_sequence(expr)), lambda: correction_table(expr, 3).entries)
+    for read, expected in zip(reads, (values, correction_table(expr, 3).entries)):
+        with v_memo({"T(2,3)": [1, 0], text: entry}) as memo:
+            assert read() == expected
+        assert memo == {"T(2,3)": [1, 0], text: values}
+
+
 ROUTE_TORUS = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5)]
 small_sums = st.lists(
     st.tuples(st.sampled_from(ROUTE_TORUS), st.sampled_from((1, -1))), max_size=3

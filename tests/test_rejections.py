@@ -3,7 +3,6 @@ and the generator budget."""
 
 import json
 import re
-import tempfile
 from fractions import Fraction
 from math import gcd
 
@@ -18,9 +17,7 @@ from knotwind import (
     KnotExpression,
     TorusKnot,
     ValidationError,
-    __version__,
     as_expression,
-    cache_load,
     combined_invariant,
     complex_of,
     dualize,
@@ -47,26 +44,6 @@ def _cli_error(argv):
     return error["message"]
 
 
-def _cache_file(tmp_path, content):
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(content))
-    with pytest.warns(RuntimeWarning) as record:
-        assert cache_load(path) == {}
-    return str(record[0].message)
-
-
-def _store_refused(tmp_path, monkeypatch):
-    def unwritable(**kwargs):  # what mkstemp raises in a directory the user cannot write
-        raise PermissionError(13, "Permission denied", kwargs["dir"])
-
-    monkeypatch.setattr(tempfile, "mkstemp", unwritable)
-    with pytest.warns(RuntimeWarning) as record:
-        status, out, err = run(["vseq", "T(2,3)", "--format", "json", "--cache", str(tmp_path / "c.json")])
-    assert (status, json.loads(out)["value"], err) == (0, [1, 0], "")
-    assert not (tmp_path / "c.json").exists()
-    return str(record[0].message)
-
-
 def _dtable(tmp_path, content):
     path = tmp_path / "dtable.json"
     if content is not None:
@@ -78,12 +55,6 @@ TREFOIL = TorusKnot(2, 3)
 
 # Each case returns the message of its rejection, which must match the pattern.
 REJECTIONS = {
-    "cache file holding a JSON list": (
-        lambda tmp, _: _cache_file(tmp, [1, 0]), "not a JSON object"),
-    "cache file without entries": (
-        lambda tmp, _: _cache_file(tmp, {"tool_version": __version__}), "missing entries object"),
-    "cache store into an unwritable directory": (
-        _store_refused, "^could not write cache file .*Permission denied"),
     "missing d-table file": (lambda tmp, _: _dtable(tmp, None), "^cannot read d-table file"),
     "d-table file that is not an object": (
         lambda tmp, _: _dtable(tmp, [2, {}]), r'^d-table file .* must be \{"w": int, "d": \{\.\.\.\}\}$'),
