@@ -4,9 +4,12 @@ import argparse
 import concurrent.futures
 import contextlib
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from knotwind import (
     ValidationError,
     ncf_eval,
     parse_knot_expr,
+    v_memo,
     v_sequence,
 )
 from knotwind import __version__
@@ -635,6 +639,205 @@ def test_cli_no_cache_never_touches_file(tmp_path, monkeypatch):
     for flags in (["--no-cache"], []):
         run_ok(["vseq", "T(2,3)", *flags])
         assert not path.exists()  # the variable is ignored too
+
+
+# The tests below are named after the cache they once checked. There is no cache any
+# more: each now pins that the same file, or the same flags, change nothing.
+
+
+def _ignoring(path, content, argv, expr):
+    """stdout of `argv -- expr` with --cache naming `path`, written with `content` (a JSON
+    value, raw text, or None for no file); it must warn nothing, print what --no-cache
+    prints, exit 0 and leave the file as it was."""
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    before = path.read_bytes() if path.exists() else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cached = run([*argv, "--cache", str(path), "--", expr])
+    assert caught == []
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert cached == run([*argv, "--no-cache", "--", expr])
+    assert cached[0] == 0 and cached[2] == "", cached
+    return cached[1]
+
+
+def _json_value(path, content, argv, expr):
+    return json.loads(_ignoring(path, content, [*argv, "--format", "json"], expr))["value"]
+
+
+def test_cache_rejects_version_mismatch_and_corruption(tmp_path):
+    # Another version, corrupt JSON, a malformed entry, a key that does not parse and one
+    # with more digits than int() converts: nothing reads the file, so nothing warns.
+    path = tmp_path / "cache.json"
+    for content in (
+        {"tool_version": "0.0.0", "entries": {"T(2,3)": [1, 0]}},
+        "{not json",
+        {"tool_version": __version__, "entries": {"T(2,3)": "bad"}},
+        {"tool_version": __version__, "entries": {"T(2,4)": [1, 0], "T(2,3)": [1, 0]}},
+        {"tool_version": __version__, "entries": {f"T(2,{LONG_EVEN})": [1, 0]}},
+    ):
+        assert _json_value(path, content, ["vseq"], "T(2,3)") == [1, 0]
+
+
+def test_cache_spot_check_catches_stale_values(tmp_path):
+    stale = {"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}}
+    assert _json_value(tmp_path / "cache.json", stale, ["vseq"], "T(2,3)") == [1, 0]
+
+
+def test_cache_spot_check_runs_under_optimize(tmp_path):
+    # v_sequence's checks are no asserts: under -O a stale file still changes nothing.
+    path = tmp_path / "cache.json"
+    content = json.dumps({"tool_version": __version__, "entries": {"T(2,3)": [5, 4, 3, 2, 1, 0]}})
+    path.write_text(content)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys; from knotwind.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code, "vseq", "--format", "json", "--cache", str(path), "--", "T(2,3)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(done.stdout)["value"] == [1, 0]
+    assert done.stderr == ""
+    assert path.read_text() == content
+
+
+def test_cache_spot_check_skips_the_unknot(tmp_path):
+    path = tmp_path / "cache.json"
+    stale = {"tool_version": __version__, "entries": {"U": [], "T(2,5)": [2, 1, 0]}}
+    assert _json_value(path, stale, ["vseq"], "T(2,5)") == [1, 1, 0]
+    stale = {"tool_version": __version__, "entries": {"U": [1]}}
+    assert _json_value(path, stale, ["vseq"], "U") == []
+
+
+def test_cache_spot_check_compares_every_torus_knot(tmp_path):
+    path = tmp_path / "cache.json"
+    stale = {"tool_version": __version__, "entries": {"T(2,3)": [1, 0], "T(2,5)": [2, 1, 0]}}
+    assert _json_value(path, stale, ["vseq"], "T(2,5)") == [1, 1, 0]
+    assert _json_value(path, stale, ["vseq"], "T(2,3)") == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "entries, value",
+    [
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [2, 1, 0]}, "1 1 0"),
+        ({"-T(2,91)": [0] * 46, "T(2,3) # -T(2,5)": [2, 1, 1, 0]}, "0 0 0 0"),
+        ({"-T(2,25)": [0] * 13, "T(2,3) # -T(2,3)": [1, 1, 0]}, "0 0 0"),
+    ],
+    ids=["positive-sum", "genus-45-mirror", "one-summand-mirror"],
+)
+def test_cache_serves_no_entry_off_the_semigroup_route(tmp_path, entries, value):
+    # A stale sum or mirror is computed afresh, and the file stays as it was.
+    content = {"tool_version": __version__, "entries": entries}
+    out = _ignoring(tmp_path / "cache.json", content, ["vseq"], list(entries)[1])
+    assert f"value: {value}" in out.splitlines()
+
+
+def test_cache_writes_back_only_canonical_keys(tmp_path):
+    # Right entries under keys that are not canonical: none is written back, nor any other.
+    content = {"tool_version": __version__, "entries": {"T(3,2)": [1, 0], "t(2, 5)": [1, 1, 0]}}
+    out = _ignoring(tmp_path / "cache.json", content, ["vseq"], "T(2,3)")
+    assert "value: 1 0" in out.splitlines()
+
+
+def test_cache_checks_no_key_it_cannot_serve(tmp_path):
+    # A wrong value under the key "T(3,2)", which parses as T(2,3), is not read either.
+    path = tmp_path / "cache.json"
+    content = {"tool_version": __version__, "entries": {"T(2,3)": [1, 0], "T(3,2)": [5, 0]}}
+    for expr in ("T(2,3)", "T(3,2)"):
+        assert "value: 1 0" in _ignoring(path, content, ["vseq"], expr).splitlines()
+
+
+def test_cache_spot_check_ignores_an_enclosing_memo(tmp_path):
+    # cli.run computes in a memo of its own: well-shaped stale entries of an enclosing
+    # memo are neither served to the command nor replaced by it.
+    stale = {"T(2,5)": [2, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0]}
+    content = {"tool_version": __version__, "entries": stale}
+    with v_memo(stale) as memo:
+        assert _json_value(tmp_path / "cache.json", content, ["vseq"], "T(2,3) # -T(2,5)") == [0, 0, 0, 0]
+        assert _json_value(tmp_path / "cache.json", content, ["vseq"], "T(2,5)") == [1, 1, 0]
+    assert memo == stale
+
+
+def _forbid_complexes(monkeypatch):
+    from knotwind import complexes
+
+    def build(expr):
+        raise AssertionError(f"the complex of {expr} was built")
+
+    monkeypatch.setattr(complexes, "complex_of", build)
+
+
+def test_cache_spot_check_recomputes_nothing_above_its_generator_limit(tmp_path, monkeypatch):
+    # Entries of sums and mirrors of any size make a command that needs no V-sequence
+    # build no complex.
+    seven = " # ".join(["T(2,3)"] * 7)  # 3^7 = 2,187 generators
+    assert parse_knot_expr(seven).single_positive_torus_knot() is None
+    entries = {
+        "T(2,3)": [1, 0], "U": [], "-T(2,3)": [0, 0],
+        "T(2,3) # T(2,3)": [1, 1, 0], "T(2,3) # -T(2,5)": [2, 1, 1, 0], seven: [0],
+    }
+    _forbid_complexes(monkeypatch)
+    content = {"tool_version": __version__, "entries": entries}
+    assert _json_value(tmp_path / "cache.json", content, ["ncf", "eval"], "4,2") == "7/2"
+
+
+def test_cache_spot_check_recomputes_nothing_when_every_entry_was_compared(tmp_path, monkeypatch):
+    # T(5,9) has genus 16, above the homology comparison: the semigroup count alone
+    # answers, and correct entries beside it make nothing else computed.
+    _forbid_complexes(monkeypatch)
+    entries = {"T(2,3)": [1, 0], "T(2,5)": [1, 1, 0]}
+    content = {"tool_version": __version__, "entries": entries}
+    value = _json_value(tmp_path / "cache.json", content, ["vseq"], "T(5,9)")
+    assert value == [6, 5, 4, 4, 4, 4, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"T(30001,30002)": [0]}, {"T(2,3001) # -T(2,3001)": [0] * 3001}],
+    ids=["conductor-above-10^6", "9006001-generators"],
+)
+def test_cache_entries_the_engine_refuses_are_malformed(tmp_path, entries):
+    # Entries the engine would refuse are not read, so they neither warn nor fail.
+    content = {"tool_version": __version__, "entries": entries}
+    assert _json_value(tmp_path / "cache.json", content, ["ncf", "eval"], "4,2") == "7/2"
+
+
+def test_cli_bound_winding_caches_the_torus_knot(tmp_path):
+    # No file appears, for a torus knot or a mixed sum.
+    for expr in ("T(2,5)", "T(2,3) # -T(2,5)"):
+        path = tmp_path / "cache.json"
+        _ignoring(path, None, ["bound", "winding"], expr)
+        assert not path.exists()
+
+
+def test_cli_cache_flag_overrides_the_environment(tmp_path, monkeypatch):
+    # --cache, --no-cache and the variable, in any order: the same output, and no file.
+    env_path, flag_path = tmp_path / "env.json", tmp_path / "flag.json"
+    monkeypatch.setenv("KNOTWIND_CACHE", str(env_path))
+    plain = run(["vseq", "T(2,3)"])
+    assert plain[0] == 0
+    for flags in (
+        ["--no-cache", "--cache", str(flag_path)], ["--cache", str(flag_path), "--no-cache"],
+        ["--cache", str(flag_path)],
+    ):
+        assert run(["vseq", "T(2,3)", *flags]) == plain
+        assert not env_path.exists() and not flag_path.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, argv, value",
+    [
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["vseq"], [1, 1, 0]),
+        ({"T(2,3)": [1, 0], "T(2,3) # T(2,3)": [1]}, ["dinv", "--n", "3"],
+         {"0": "-3/2", "1": "-13/6", "2": "-13/6"}),
+        ({"T(2,3)": [1, 0], "T(2,3) # -T(2,5)": [0]}, ["vseq"], [0, 0, 0, 0]),
+    ],
+    ids=["vseq short entry", "dinv short entry", "vseq mixed short entry"],
+)
+def test_cache_entries_without_the_v_sequence_shape_are_recomputed(tmp_path, entries, argv, value):
+    # The memo's shape check itself is tested on v_memo in test_complexes.
+    content = {"tool_version": __version__, "entries": entries}
+    assert _json_value(tmp_path / "cache.json", content, argv, list(entries)[1]) == value
 
 
 def test_cli_version_and_help():
